@@ -7,13 +7,14 @@ kernels, so a slot-mapping or selection bug in either backend cannot hide.
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from backsec import analytic
-from backsec._kernels import HAVE_NUMBA, mix64
+from backsec._kernels import _TILE_UNIFORMS, HAVE_NUMBA, mix64
 from backsec.errors import ValidationError
 from backsec.montecarlo import (
     McConfig,
@@ -99,6 +100,15 @@ def reference_counts(params, mc):
     return counts
 
 
+def _replay_counts_of(res):
+    """estimate_all's results as reference_counts' (4, 3) table."""
+    got = np.zeros((4, 3), dtype=np.int64)
+    for i, proto in enumerate(PROTOCOL_ORDER):
+        got[i] = (res[(proto, "sop")].n_case1, res[(proto, "sop")].n_case2,
+                  res[(proto, "ip")].n_case2)
+    return got
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_repeat_runs_identical(self, backend, force_backend):
@@ -156,12 +166,7 @@ class TestStreamReference:
         p = make_params(gamma_t_db=12.0, n_tags=3, m=2, rate=0.4)
         mc = McConfig(trials=2_000, seed=555, batch_size=700)
         ref = reference_counts(p, mc)
-        got = np.zeros((4, 3), dtype=np.int64)
-        res = estimate_all(p, mc)
-        for i, proto in enumerate(PROTOCOL_ORDER):
-            s = res[(proto, "sop")]
-            ip = res[(proto, "ip")]
-            got[i] = (s.n_case1, s.n_case2, ip.n_case2)
+        got = _replay_counts_of(estimate_all(p, mc))
         assert np.abs(got - ref).max() <= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -179,12 +184,58 @@ class TestStreamReference:
             eh=base.eh)
         mc = McConfig(trials=1_500, seed=777, batch_size=512)
         ref = reference_counts(het, mc)
-        res = estimate_all(het, mc)
-        got = np.zeros((4, 3), dtype=np.int64)
-        for i, proto in enumerate(PROTOCOL_ORDER):
-            got[i] = (res[(proto, "sop")].n_case1, res[(proto, "sop")].n_case2,
-                      res[(proto, "ip")].n_case2)
+        got = _replay_counts_of(estimate_all(het, mc))
         assert np.abs(got - ref).max() <= 1
+
+
+def _mixed_m_params(rate):
+    """N = 4 with m = 1, 2, 3 on the s, d, e families and two odd tags."""
+    base = make_params(gamma_t_db=12.0, n_tags=4, m_s=1, m_d=2, m_e=3, rate=rate)
+    link_d = base.links_of("d")[0]
+    link_e = base.links_of("e")[0]
+    return replace(
+        base,
+        link_d=(link_d, replace(link_d, m=3), link_d, replace(link_d, distance=3.0)),
+        link_e=(link_e, replace(link_e, m=1), link_e, link_e))
+
+
+class TestTiling:
+    """The numpy kernel walks a batch in tiles of _TILE_UNIFORMS // slots
+    trials; counts must not depend on where the tile seams fall."""
+
+    @pytest.mark.parametrize("rate", [0.4, 0.0])
+    @pytest.mark.parametrize("tiles, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_counts_match_python_replay_across_tile_seams(self, rate, tiles, extra,
+                                                          force_backend):
+        force_backend("numpy")
+        p = _mixed_m_params(rate)
+        slots = sum(l.m for fam in "sde" for l in p.links_of(fam)) + 1
+        tile = _TILE_UNIFORMS // slots
+        trials = tiles * tile + extra
+        mc = McConfig(trials=trials, seed=2718, batch_size=trials)
+        ref = reference_counts(p, mc)
+        got = _replay_counts_of(estimate_all(p, mc))
+        # exact, unlike the looser replay checks above: a seam slip moves
+        # single trials, and a last-ulp log() difference flips an event only
+        # within ~1e-16 of a decision boundary
+        np.testing.assert_array_equal(got, ref)
+        dead, outage, intercept = ref.sum(axis=0)
+        assert dead > 0 and intercept > 0
+        assert (outage > 0) == (rate > 0)
+
+    def test_kernel_memory_does_not_grow_with_batch_size(self, force_backend):
+        # one batch of 262144 trials at 19 draws each: an untiled kernel
+        # holds several (batch, slots) arrays, about 200 MB
+        force_backend("numpy")
+        p = make_params(gamma_t_db=30.0, n_tags=3, m=2)
+        mc = McConfig(trials=262_144, seed=1, batch_size=262_144)
+        tracemalloc.start()
+        try:
+            estimate_all(p, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestStatisticalSanity:
