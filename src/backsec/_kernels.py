@@ -17,15 +17,15 @@ The workspace is never shared between calls, so concurrent batches on
 worker threads stay independent.
 
 The backend is chosen by the BACKSEC_BACKEND environment variable:
-"numba" (require the JIT path), "numpy" (force the fallback), or unset/"auto"
-(JIT when numba imports, fallback otherwise).
+"numba" (require the JIT path of the optional `jit` extra), "numpy", or
+unset/"auto" (JIT when numba imports, numpy otherwise, without a warning:
+numpy is the normal kernel where the extra is not installed).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 
 import numpy as np
 
@@ -69,11 +69,7 @@ def resolve_backend(env: str | None = None) -> str:
     """Map the BACKSEC_BACKEND setting to 'numba' or 'numpy'."""
     choice = (env if env is not None else os.environ.get("BACKSEC_BACKEND", "auto")).lower()
     if choice in ("", "auto"):
-        if HAVE_NUMBA:
-            return "numba"
-        warnings.warn("numba is not available; falling back to the numpy kernel",
-                      RuntimeWarning, stacklevel=2)
-        return "numpy"
+        return "numba" if HAVE_NUMBA else "numpy"
     if choice == "numba":
         if not HAVE_NUMBA:
             raise RuntimeError("BACKSEC_BACKEND=numba but numba cannot be imported")

@@ -86,10 +86,10 @@ class ClosedFormReport:
 
 
 class _Derived:
-    """Scalar quantities shared by every closed form for one scenario."""
+    """Scalars of one scenario, and the expansion tables one closed form's sums share."""
 
     __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e",
-                 "a", "eta1", "eta2", "tau", "c", "n", "cap_a", "cap_b")
+                 "a", "eta1", "eta2", "tau", "c", "n", "cap_a", "cap_b", "tables")
 
     def __init__(self, params: SystemParams):
         params.require_homogeneous()
@@ -107,6 +107,16 @@ class _Derived:
         self.n = params.n_tags
         self.cap_a = (self.tau - 1.0) / (self.eta1 * params.gamma_t)
         self.cap_b = self.tau * self.c
+        self.tables = {}
+
+    def expansion(self, n_power: int, m: int, lam: float) -> tuple:
+        """(parts, DeltaTerm) for every term of the multinomial expansion of
+        (F_{g^2})^n_power, in `compositions` order; built once per evaluation."""
+        key = (n_power, m, lam)
+        if key not in self.tables:
+            self.tables[key] = tuple((c.parts, multinomial_delta(n_power, c, m, lam))
+                                     for c in compositions(n_power, m + 1))
+        return self.tables[key]
 
 
 def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> float:
@@ -163,8 +173,7 @@ def _w3_min_moment(d: _Derived, q: int, rate_shift: float,
     acc = CompensatedSum()
     for ell in range(1, d.n + 1):
         outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
-        for comp in compositions(ell, d.me + 1):
-            delta = multinomial_delta(ell, comp, d.me, d.lam_e)
+        for _, delta in d.expansion(ell, d.me, d.lam_e):
             t3, t4 = delta.theta1, delta.theta2
             if t3 == 0:
                 continue  # constant term of F^ell; zero derivative
@@ -193,36 +202,28 @@ def _cmp_max(d: _Derived, x: float, threshold: Optional[float],
              breakdown: Optional[dict] = None) -> float:
     """P(max of n destination gains < x * W3)."""
     acc = CompensatedSum()
-    for comp in compositions(d.n, d.md + 1):
-        delta = multinomial_delta(d.n, comp, d.md, d.lam_d)
+    for parts, delta in d.expansion(d.n, d.md, d.lam_d):
         term = (delta.value * x ** delta.theta2
                 * _w3_moment(d, delta.theta2, d.lam_d * delta.theta1 * x))
         acc.add(term)
         if breakdown is not None:
-            breakdown[f"comp{comp.parts}"] = term
+            breakdown[f"comp{parts}"] = term
     return _checked(acc, "best-destination comparison", threshold)
 
 
-def _cmp_single(d: _Derived, x: float) -> float:
-    """P(single destination gain < x * W3)."""
+def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
+                breakdown: Optional[dict] = None, minimum_stat: bool = False) -> float:
+    """P(single destination gain < x * W3); W3 is the weakest of n if minimum_stat."""
     total = 0.0
     fact = 1.0
     for j in range(d.md):
         if j > 0:
             fact *= j
-        total += (d.lam_d ** j / fact) * x ** j * _w3_moment(d, j, d.lam_d * x)
-    return 1.0 - total
-
-
-def _cmp_min(d: _Derived, x: float, threshold: Optional[float],
-             breakdown: Optional[dict] = None) -> float:
-    """P(single destination gain < x * min of n eavesdropper gains)."""
-    total = 0.0
-    fact = 1.0
-    for j in range(d.md):
-        if j > 0:
-            fact *= j
-        term = (d.lam_d ** j / fact) * x ** j * _w3_min_moment(d, j, d.lam_d * x, threshold)
+        if minimum_stat:
+            moment = _w3_min_moment(d, j, d.lam_d * x, threshold)
+        else:
+            moment = _w3_moment(d, j, d.lam_d * x)
+        term = (d.lam_d ** j / fact) * x ** j * moment
         total += term
         if breakdown is not None:
             breakdown[f"j={j}"] = term
@@ -231,18 +232,18 @@ def _cmp_min(d: _Derived, x: float, threshold: Optional[float],
 
 def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
     acc = CompensatedSum()
-    for comp in compositions(d.n, d.md + 1):
-        delta = multinomial_delta(d.n, comp, d.md, d.lam_d)
+    w1 = {}  # (theta1, k) -> W1 tail integral, whose q_coef depends on theta1 alone
+    for parts, delta in d.expansion(d.n, d.md, d.lam_d):
         t1, t2 = delta.theta1, delta.theta2
-        q_coef = d.lam_d * t1 * d.cap_a
         inner = 0.0
         for q in range(t2 + 1):
+            if (t1, q - t2) not in w1:
+                w1[t1, q - t2] = _w1_tail_integral(d, d.lam_d * t1 * d.cap_a, q - t2)
             inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
-                      * _w1_tail_integral(d, q_coef, q - t2)
-                      * _w3_moment(d, q, d.lam_d * t1 * d.cap_b))
+                      * w1[t1, q - t2] * _w3_moment(d, q, d.lam_d * t1 * d.cap_b))
         term = delta.value * inner
         acc.add(term)
-        breakdown[f"p2.comp{comp.parts}"] = term
+        breakdown[f"p2.comp{parts}"] = term
     return _checked(acc, "best-destination outage tail", threshold)
 
 
@@ -251,6 +252,9 @@ def _single_tail(d: _Derived, threshold: Optional[float],
     """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
     q_coef = d.lam_d * d.cap_a
+    # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
+    w3 = [_w3_min_moment(d, q, d.lam_d * d.cap_b, threshold) if minimum_stat
+          else _w3_moment(d, q, d.lam_d * d.cap_b) for q in range(d.md)]
     total = CompensatedSum()
     fact = 1.0
     for j in range(d.md):
@@ -258,12 +262,8 @@ def _single_tail(d: _Derived, threshold: Optional[float],
             fact *= j
         inner = 0.0
         for q in range(j + 1):
-            if minimum_stat:
-                w3 = _w3_min_moment(d, q, d.lam_d * d.cap_b, threshold)
-            else:
-                w3 = _w3_moment(d, q, d.lam_d * d.cap_b)
             inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
-                      * _w1_tail_integral(d, q_coef, q - j) * w3)
+                      * _w1_tail_integral(d, q_coef, q - j) * w3[q])
         term = (d.lam_d ** j / fact) * inner
         total.add(term)
         if breakdown is not None:
@@ -315,7 +315,7 @@ def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
     if protocol is ProtocolKind.SOTS:
         cmp_val = _cmp_max(d, d.c, threshold, breakdown)
     elif protocol is ProtocolKind.METS:
-        cmp_val = _cmp_min(d, d.c, threshold, breakdown)
+        cmp_val = _cmp_single(d, d.c, threshold, breakdown, minimum_stat=True)
     else:
         cmp_val = _cmp_single(d, d.c)
     breakdown["p3"] = survive * cmp_val
@@ -339,7 +339,7 @@ def _build_asymptotic(protocol: ProtocolKind, params: SystemParams, metric: str,
     if protocol is ProtocolKind.SOTS:
         val = _cmp_max(d, x, threshold, breakdown)
     elif protocol is ProtocolKind.METS:
-        val = _cmp_min(d, x, threshold, breakdown)
+        val = _cmp_single(d, x, threshold, breakdown, minimum_stat=True)
     else:
         single = _cmp_single(d, x)
         breakdown["single_tag"] = single

@@ -115,13 +115,15 @@ class SystemParams:
 
     @property
     def is_homogeneous(self) -> bool:
-        return all(
-            len(set(self.links_of(f))) == 1 for f in ("s", "d", "e")
-        )
+        # a single shared NakagamiLink is homogeneous by construction; only a
+        # per-tag tuple needs comparing
+        return all(isinstance(v, NakagamiLink) or len(set(v)) == 1
+                   for v in (self.link_s, self.link_d, self.link_e))
 
     def require_homogeneous(self) -> None:
-        for f, name in (("s", "link_s"), ("d", "link_d"), ("e", "link_e")):
-            if len(set(self.links_of(f))) != 1:
+        for name in ("link_s", "link_d", "link_e"):
+            value = getattr(self, name)
+            if not isinstance(value, NakagamiLink) and len(set(value)) != 1:
                 raise ValidationError(
                     f"{name} differs across tags; the closed forms require "
                     "identically distributed tags"

@@ -17,7 +17,12 @@ from scipy import integrate
 from backsec import analytic
 from backsec.errors import NumericalInstabilityWarning, ValidationError
 from backsec.montecarlo import McConfig, estimate_all
-from backsec.specfun import reg_lower_inc_gamma, reg_upper_inc_gamma
+from backsec.specfun import (
+    compositions,
+    multinomial_delta,
+    reg_lower_inc_gamma,
+    reg_upper_inc_gamma,
+)
 from backsec.system import ProtocolKind, SystemParams
 
 from conftest import make_params
@@ -283,3 +288,88 @@ class TestReportMechanics:
             warnings.simplefilter("always")
             analytic.sop_exact(ProtocolKind.SOTS, p)
         assert not [w for w in caught if issubclass(w.category, NumericalInstabilityWarning)]
+
+
+FORMS = ("sop_exact", "sop_asymptotic", "ip_exact", "ip_asymptotic")
+
+# raw_value of every closed form, as repr floats, in FORMS x (SOTS, METS, OTS,
+# RTS) order, frozen before the expansion table was memoized (x86-64 Linux,
+# glibc libm).  The sums must keep their terms and order exactly: a reordered
+# Neumaier sum moves these by about condition x eps.
+FROZEN_RAW = {
+    (3, 2): {  # the fig2 point
+        "sop_exact": ('0.0048995659904187815', '0.02673127361609473',
+                      '0.0007181325904893544', '0.08955054064128487'),
+        "sop_asymptotic": ('0.004753154234535206', '0.02544214613885798',
+                           '0.0006736860978665297', '0.0876635785373957'),
+        "ip_exact": ('0.00118750189603199', '0.01364330818556331',
+                     '0.00012980002396026708', '0.05063198152652719'),
+        "ip_asymptotic": ('0.001187379491233792', '0.013643187307228244',
+                          '0.00012979912917427435', '0.050631865181166136'),
+    },
+    (8, 4): {
+        "sop_exact": ('1.5388510264215901e-06', '0.001105392599825672',
+                      '1.2387743294898905e-13', '0.02435701281596092'),
+        "sop_asymptotic": ('1.5248188676912756e-06', '0.0010858469293805184',
+                           '1.1842693092098066e-13', '0.02422039989256175'),
+        "ip_exact": ('1.2594492197466278e-08', '0.0003083079934085902',
+                     '2.8491517000634135e-17', '0.008547506636689167'),
+        "ip_asymptotic": ('1.2594489693708728e-08', '0.0003083079934060873',
+                          '2.849151700056798e-17', '0.008547506636686686'),
+    },
+    (16, 3): {
+        "sop_exact": ('2.720876740832509e-07', '0.0012955390144566703',
+                      '3.6187275148151754e-22', '0.04569932050386194'),
+        "sop_asymptotic": ('2.669114662593803e-07', '0.001237840243785815',
+                           '3.1287122106973683e-22', '0.045285623449176526'),
+        "ip_exact": ('1.2242038869716044e-09', '0.0004634163429287925',
+                     '9.031672651708588e-28', '0.020404948912549292'),
+        "ip_asymptotic": ('1.203977461771535e-09', '0.0004634163227117405',
+                          '9.031672511388976e-28', '0.020404948892735586'),
+    },
+}
+
+
+def _evaluate_all(params):
+    """{(form, protocol): report} for the 16 closed forms; instability warnings
+    (the (16, 3) SOTS IP sum trips one) are silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericalInstabilityWarning)
+        return {(form, proto): getattr(analytic, form)(proto, params)
+                for form in FORMS for proto in ProtocolKind}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("n, m", sorted(FROZEN_RAW))
+    def test_raw_values_frozen(self, n, m):
+        reports = _evaluate_all(make_params(n_tags=n, m=m))
+        for form in FORMS:
+            got = tuple(repr(reports[form, proto].raw_value) for proto in ProtocolKind)
+            assert got == FROZEN_RAW[n, m][form], form
+        # the Neumaier sums hide a reordering in the last digit, so pin the
+        # term order too: one term per composition, in compositions order
+        order = [f"comp{c.parts}" for c in compositions(n, m + 1)]
+        sop_terms = reports["sop_exact", ProtocolKind.SOTS].term_breakdown
+        ip_terms = reports["ip_exact", ProtocolKind.SOTS].term_breakdown
+        assert [k for k in sop_terms if k.startswith("p2.comp")] == ["p2." + k for k in order]
+        assert [k for k in ip_terms if k.startswith("comp")] == order
+
+    @pytest.mark.parametrize("n, m, lam", [(0, 1, 1.3), (0, 3, 2.0), (1, 1, 0.7),
+                                           (5, 1, 2.7), (3, 2, 1.5), (8, 4, 1.995),
+                                           (16, 3, 0.4), (6, 6, 3.1)])
+    def test_expansion_table_equals_reference_loop(self, n, m, lam):
+        d = analytic._Derived(make_params())
+        ref = tuple((c.parts, multinomial_delta(n, c, m, lam)) for c in compositions(n, m + 1))
+        assert d.expansion(n, m, lam) == ref
+
+    def test_expansion_table_built_once_per_evaluation(self):
+        params = make_params(n_tags=8, m=4)
+        d = analytic._Derived(params)
+        first = d.expansion(8, 4, 1.995)
+        assert d.expansion(8, 4, 1.995) is first
+        # nothing outlives one evaluation: a new one builds its own tables
+        assert analytic._Derived(params).expansion(8, 4, 1.995) is not first
+        again = _evaluate_all(params)
+        for key, rep in _evaluate_all(params).items():
+            assert repr(again[key].raw_value) == repr(rep.raw_value), key
+            assert dict(again[key].term_breakdown) == dict(rep.term_breakdown), key

@@ -8,13 +8,14 @@ kernels, so a slot-mapping or selection bug in either backend cannot hide.
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from backsec import analytic
-from backsec._kernels import _TILE_UNIFORMS, HAVE_NUMBA, mix64
+from backsec._kernels import _TILE_UNIFORMS, HAVE_NUMBA, mix64, resolve_backend
 from backsec.errors import ValidationError
 from backsec.montecarlo import (
     McConfig,
@@ -142,6 +143,25 @@ class TestDeterminism:
         a = estimate_all(p, McConfig(trials=50_000, seed=1, batch_size=10_000))
         b = estimate_all(p, McConfig(trials=50_000, seed=1, batch_size=50_000))
         assert a != b
+
+
+class TestBackendChoice:
+    def test_auto_mode_picks_a_kernel_without_warning(self, monkeypatch):
+        monkeypatch.delenv("BACKSEC_BACKEND", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert resolve_backend() == ("numba" if HAVE_NUMBA else "numpy")
+            estimate_all(make_params(), McConfig(trials=2_000, seed=1))
+            sop_mc(ProtocolKind.SOTS, make_params(), McConfig(trials=2_000, seed=1))
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
+    def test_requiring_numba_without_it_raises(self):
+        with pytest.raises(RuntimeError):
+            resolve_backend("numba")
+
+    def test_unknown_choice_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_backend("cuda")
 
 
 class TestBackendAgreement:

@@ -65,6 +65,25 @@ class TestSystemParams:
                          n_tags=p.n_tags, rate_threshold=p.rate_threshold,
                          link_s=p.link_s, link_d=(link,), link_e=p.link_e, eh=p.eh)
 
+    def test_heterogeneous_tuple_fails_homogeneity(self):
+        p = make_params(n_tags=2)
+        link = p.links_of("e")[0]
+        other = NakagamiLink(link.m, link.omega, link.distance * 2, link.pathloss_exp)
+        fields = dict(p_tx=p.p_tx, gamma_t=p.gamma_t, gamma_p=p.gamma_p, zeta=p.zeta,
+                      n_tags=2, rate_threshold=p.rate_threshold, link_s=p.link_s,
+                      link_d=p.link_d, eh=p.eh)
+        same = SystemParams(link_e=(link, NakagamiLink(link.m, link.omega, link.distance,
+                                                       link.pathloss_exp)), **fields)
+        assert same.is_homogeneous
+        same.require_homogeneous()
+        assert same.eta2 == p.eta2
+        het = SystemParams(link_e=(link, other), **fields)
+        assert not het.is_homogeneous
+        with pytest.raises(ValidationError, match="link_e"):
+            het.require_homogeneous()
+        with pytest.raises(ValidationError):
+            het.eta1
+
     def test_invalid_params_rejected(self):
         p = make_params()
         with pytest.raises(ValidationError):
