@@ -86,10 +86,12 @@ class ClosedFormReport:
 
 
 class _Derived:
-    """Scalars of one scenario, and the expansion tables one closed form's sums share."""
+    """Scalars of one SystemParams object (see `_derived`) and the pure values
+    all its closed forms share (expansion tables, W1 tails, moment sums), never
+    a verdict; threads racing on one object build equal values."""
 
-    __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e",
-                 "a", "eta1", "eta2", "tau", "c", "n", "cap_a", "cap_b", "tables")
+    __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e", "a", "eta1", "eta2",
+                 "tau", "c", "n", "cap_a", "cap_b", "tables", "w1_tails", "min_sums")
 
     def __init__(self, params: SystemParams):
         params.require_homogeneous()
@@ -108,15 +110,27 @@ class _Derived:
         self.cap_a = (self.tau - 1.0) / (self.eta1 * params.gamma_t)
         self.cap_b = self.tau * self.c
         self.tables = {}
+        self.w1_tails = {}
+        self.min_sums = {}
 
     def expansion(self, n_power: int, m: int, lam: float) -> tuple:
         """(parts, DeltaTerm) for every term of the multinomial expansion of
-        (F_{g^2})^n_power, in `compositions` order; built once per evaluation."""
+        (F_{g^2})^n_power, in `compositions` order; built once per scenario."""
         key = (n_power, m, lam)
         if key not in self.tables:
             self.tables[key] = tuple((c.parts, multinomial_delta(n_power, c, m, lam))
                                      for c in compositions(n_power, m + 1))
         return self.tables[key]
+
+
+def _derived(params: SystemParams) -> _Derived:
+    """The one _Derived of this params object, built on first use and kept as a
+    private attribute: no dataclass field, so never in ==, hash, repr or replace."""
+    d = params.__dict__.get("_derived")
+    if d is None:
+        d = _Derived(params)
+        object.__setattr__(params, "_derived", d)
+    return d
 
 
 def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> float:
@@ -146,12 +160,14 @@ def _w1_tail_integral(d: _Derived, q_coef: float, k: int) -> float:
 
     Binomial-expands (v + a)^(ms-1) around the shifted variable v = w - a,
     leaving one Bessel-type integral per power of v."""
+    if (q_coef, k) in d.w1_tails:
+        return d.w1_tails[q_coef, k]
     pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
     total = 0.0
     for p in range(d.ms):
         total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
                   * _g_integral(p + k + 1, d.lam_s, q_coef))
-    return pref * total
+    return d.w1_tails.setdefault((q_coef, k), pref * total)
 
 
 def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
@@ -161,35 +177,49 @@ def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
                     - (d.me + q) * math.log(d.lam_e + rate_shift))
 
 
-def _w3_min_moment(d: _Derived, q: int, rate_shift: float,
-                   threshold: Optional[float]) -> float:
-    """Same moment against the minimum-order-statistic density of the
-    eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
+def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
+                    threshold: Optional[float]) -> list:
+    """The moments q = 0..count-1 against the minimum-order-statistic density
+    of the eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
 
     Termwise, d/dt [t^t4 e^{-lam t3 t}] = (t4 t^(t4-1) - lam t3 t^t4) e^{...},
     so each expansion term contributes
         t4 Gamma(q+t4) / s^(q+t4) - lam_e t3 Gamma(q+t4+1) / s^(q+t4+1)
-    with s = lam_e t3 + rate_shift (the t4 part vanishes when t4 == 0)."""
-    acc = CompensatedSum()
-    for ell in range(1, d.n + 1):
-        outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
-        for _, delta in d.expansion(ell, d.me, d.lam_e):
-            t3, t4 = delta.theta1, delta.theta2
-            if t3 == 0:
-                continue  # constant term of F^ell; zero derivative
-            s = d.lam_e * t3 + rate_shift
-            term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
-                                            - (q + t4 + 1) * math.log(s))
-            if t4 > 0:
-                term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * math.log(s))
-            acc.add(outer * delta.value * term)
-    return _checked(acc, "weakest-eavesdropper moment", threshold)
+    with s = lam_e t3 + rate_shift (the t4 part vanishes when t4 == 0).
+    One pass over the tables feeds one compensated sum per q."""
+    key = (count, rate_shift)
+    if key not in d.min_sums:
+        accs = [CompensatedSum() for _ in range(count)]
+        for ell in range(1, d.n + 1):
+            outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
+            for _, delta in d.expansion(ell, d.me, d.lam_e):
+                t3, t4 = delta.theta1, delta.theta2
+                if t3 == 0:
+                    continue  # constant term of F^ell; zero derivative
+                log_s = math.log(d.lam_e * t3 + rate_shift)
+                for q, acc in enumerate(accs):
+                    term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
+                                                    - (q + t4 + 1) * log_s)
+                    if t4 > 0:
+                        term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
+                    acc.add(outer * delta.value * term)
+        d.min_sums[key] = accs
+    return [_checked(acc, "weakest-eavesdropper moment", threshold)
+            for acc in d.min_sums[key]]
+
+
+def _w3_moments(d: _Derived, rate_shift: float, threshold: Optional[float],
+                minimum_stat: bool) -> list:
+    """W3 moments q = 0..md-1; against the weakest of n if minimum_stat."""
+    if minimum_stat:
+        return _w3_min_moments(d, d.md, rate_shift, threshold)
+    return [_w3_moment(d, q, rate_shift) for q in range(d.md)]
 
 
 def p1(params: SystemParams) -> float:
     """Probability the selected tag cannot power its circuit,
     P(g_s^2 < phi / (P d_s^-u_s))."""
-    d = _Derived(params)
+    d = _derived(params)
     return reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
 
 
@@ -214,16 +244,13 @@ def _cmp_max(d: _Derived, x: float, threshold: Optional[float],
 def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
                 breakdown: Optional[dict] = None, minimum_stat: bool = False) -> float:
     """P(single destination gain < x * W3); W3 is the weakest of n if minimum_stat."""
+    moments = _w3_moments(d, d.lam_d * x, threshold, minimum_stat)
     total = 0.0
     fact = 1.0
     for j in range(d.md):
         if j > 0:
             fact *= j
-        if minimum_stat:
-            moment = _w3_min_moment(d, j, d.lam_d * x, threshold)
-        else:
-            moment = _w3_moment(d, j, d.lam_d * x)
-        term = (d.lam_d ** j / fact) * x ** j * moment
+        term = (d.lam_d ** j / fact) * x ** j * moments[j]
         total += term
         if breakdown is not None:
             breakdown[f"j={j}"] = term
@@ -232,15 +259,14 @@ def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
 
 def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
     acc = CompensatedSum()
-    w1 = {}  # (theta1, k) -> W1 tail integral, whose q_coef depends on theta1 alone
     for parts, delta in d.expansion(d.n, d.md, d.lam_d):
         t1, t2 = delta.theta1, delta.theta2
+        q_coef = d.lam_d * t1 * d.cap_a
         inner = 0.0
         for q in range(t2 + 1):
-            if (t1, q - t2) not in w1:
-                w1[t1, q - t2] = _w1_tail_integral(d, d.lam_d * t1 * d.cap_a, q - t2)
             inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
-                      * w1[t1, q - t2] * _w3_moment(d, q, d.lam_d * t1 * d.cap_b))
+                      * _w1_tail_integral(d, q_coef, q - t2)
+                      * _w3_moment(d, q, d.lam_d * t1 * d.cap_b))
         term = delta.value * inner
         acc.add(term)
         breakdown[f"p2.comp{parts}"] = term
@@ -253,8 +279,7 @@ def _single_tail(d: _Derived, threshold: Optional[float],
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
     q_coef = d.lam_d * d.cap_a
     # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
-    w3 = [_w3_min_moment(d, q, d.lam_d * d.cap_b, threshold) if minimum_stat
-          else _w3_moment(d, q, d.lam_d * d.cap_b) for q in range(d.md)]
+    w3 = _w3_moments(d, d.lam_d * d.cap_b, threshold, minimum_stat)
     total = CompensatedSum()
     fact = 1.0
     for j in range(d.md):
@@ -273,7 +298,7 @@ def _single_tail(d: _Derived, threshold: Optional[float],
 
 def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
                      threshold: Optional[float]) -> tuple[float, dict]:
-    d = _Derived(params)
+    d = _derived(params)
     p1_val, _ = _p1_parts(d)
     breakdown: dict = {"p1": p1_val}
 
@@ -308,7 +333,7 @@ def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
 
 def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
                     threshold: Optional[float]) -> tuple[float, dict]:
-    d = _Derived(params)
+    d = _derived(params)
     p1_val, survive = _p1_parts(d)
     breakdown: dict = {"p1": p1_val}
 
@@ -329,7 +354,7 @@ def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
 
 def _build_asymptotic(protocol: ProtocolKind, params: SystemParams, metric: str,
                       threshold: Optional[float]) -> tuple[float, dict]:
-    d = _Derived(params)
+    d = _derived(params)
     breakdown: dict = {"p1": 0.0}
     if metric == "sop" and params.rate_threshold == 0.0:
         breakdown["p2"] = 0.0

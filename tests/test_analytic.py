@@ -7,14 +7,17 @@ suite).
 """
 
 import math
+import sys
+import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from backsec import analytic
+from backsec.config import apply_axis
 from backsec.errors import NumericalInstabilityWarning, ValidationError
 from backsec.montecarlo import McConfig, estimate_all
 from backsec.specfun import (
@@ -25,7 +28,7 @@ from backsec.specfun import (
 )
 from backsec.system import ProtocolKind, SystemParams
 
-from conftest import make_params
+from conftest import DB, make_params
 
 ALL = tuple(ProtocolKind)
 
@@ -270,10 +273,13 @@ class TestReportMechanics:
                            zeta=p.zeta, n_tags=2, rate_threshold=p.rate_threshold,
                            link_s=p.link_s, link_d=(link, other), link_e=p.link_e,
                            eh=p.eh)
-        with pytest.raises(ValidationError):
-            analytic.sop_exact(ProtocolKind.SOTS, het)
-        with pytest.raises(ValidationError):
-            analytic.p1(het)
+        before = dict(vars(het))
+        for _ in range(2):  # a failed call stashes nothing, so every call fails
+            with pytest.raises(ValidationError):
+                analytic.sop_exact(ProtocolKind.SOTS, het)
+            with pytest.raises(ValidationError):
+                analytic.p1(het)
+        assert vars(het) == before
 
     def test_instability_warning_raised_at_tight_threshold(self):
         p = make_params(n_tags=4, m=3)
@@ -367,5 +373,120 @@ class TestBitIdentity:
         d = analytic._Derived(params)
         first = d.expansion(8, 4, 1.995)
         assert d.expansion(8, 4, 1.995) is first
-        # nothing outlives one evaluation: a new one builds its own tables
+        # a new _Derived builds its own tables
         assert analytic._Derived(params).expansion(8, 4, 1.995) is not first
+
+
+# The weakest-eavesdropper moment sums trip the instability flag in both METS
+# SOP forms here, which share one set of those sums on one params object.
+METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
+ORDER = [(form, proto) for form in FORMS for proto in ProtocolKind]
+
+
+def _observed(form, proto, params, threshold=None):
+    """(raw_value repr, term_breakdown, instability warning count) of one form."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = getattr(analytic, form)(proto, params, cancellation_threshold=threshold)
+    flags = sum(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
+    return repr(report.raw_value), dict(report.term_breakdown), flags
+
+
+class TestSharedDerivedTerms:
+    """The 16 closed forms of one params object share one _Derived; sharing
+    must not change any result, breakdown or warning."""
+
+    @pytest.mark.parametrize("kwargs", [dict(n_tags=3, m=2), dict(n_tags=8, m=4),
+                                        dict(n_tags=16, m=3), METS_FLAGGED],
+                             ids=["fig2", "n8m4", "n16m3", "mets_flagged"])
+    def test_shared_equals_cold_in_any_order(self, kwargs):
+        params = make_params(**kwargs)
+        cold = {key: _observed(*key, replace(params)) for key in ORDER}
+        forward = {key: _observed(*key, params) for key in ORDER}
+        again = replace(params)
+        backward = {key: _observed(*key, again) for key in reversed(ORDER)}
+        assert forward == cold
+        assert backward == cold
+        if kwargs is METS_FLAGGED:
+            assert cold["sop_exact", ProtocolKind.METS][2] > 0
+            assert cold["sop_asymptotic", ProtocolKind.METS][2] > 0
+
+    @pytest.mark.parametrize("form, proto", [("sop_exact", ProtocolKind.SOTS),
+                                             ("sop_exact", ProtocolKind.METS),
+                                             ("ip_asymptotic", ProtocolKind.METS)])
+    def test_threshold_applies_per_call(self, form, proto):
+        params = make_params(n_tags=4, m=3)
+        assert _observed(form, proto, params)[2] == 0
+        assert _observed(form, proto, params, threshold=1.0)[2] > 0
+        assert _observed(form, proto, params)[2] == 0
+
+    def test_one_derived_per_params_object(self):
+        params = make_params()
+        assert analytic._derived(params) is analytic._derived(params)
+        assert analytic._derived(replace(params)) is not analytic._derived(params)
+
+    def test_fresh_params_rebuild_the_tables(self, monkeypatch):
+        calls = []
+        real = analytic.multinomial_delta
+        monkeypatch.setattr(analytic, "multinomial_delta",
+                            lambda *args: calls.append(args) or real(*args))
+        params = make_params(n_tags=4, m=2)
+        _evaluate_all(params)
+        built = len(calls)
+        assert built > 0
+        _evaluate_all(params)
+        assert len(calls) == built  # every table of this object is already built
+        _evaluate_all(replace(params))
+        assert len(calls) == 2 * built  # an equal fresh object builds its own
+
+    @pytest.mark.parametrize("derive", [
+        lambda p: replace(p, gamma_t=DB(60.0), p_tx=p.noise_power * DB(60.0)),
+        lambda p: p.with_transmit_snr(DB(60.0)),
+        lambda p: apply_axis(p, "gamma_t_db", 60.0),
+    ], ids=["replace", "with_transmit_snr", "apply_axis"])
+    def test_derived_params_start_cold(self, derive):
+        low = make_params(gamma_t_db=0.0, n_tags=4, m=2)
+        at_low = _evaluate_all(low)
+        high = derive(low)
+        reports = _evaluate_all(high)
+        assert analytic._derived(high) is not analytic._derived(low)
+        cold = _evaluate_all(replace(high))
+        for key in ORDER:
+            assert repr(reports[key].raw_value) == repr(cold[key].raw_value), key
+            assert dict(reports[key].term_breakdown) == dict(cold[key].term_breakdown), key
+        assert (reports["sop_exact", ProtocolKind.SOTS].raw_value
+                != at_low["sop_exact", ProtocolKind.SOTS].raw_value)
+
+    def test_stash_is_not_part_of_the_value(self):
+        params = make_params()
+        twin = replace(params)
+        text, field_names = repr(params), [f.name for f in fields(params)]
+        _evaluate_all(params)
+        assert params == twin and hash(params) == hash(twin)
+        assert repr(params) == text == repr(twin)
+        assert [f.name for f in fields(params)] == field_names
+        assert "_derived" not in repr(params) and "_derived" not in field_names
+
+    def test_threads_racing_on_one_object_get_the_cold_values(self):
+        params = make_params(n_tags=4, m=3)
+        cold = {key: repr(getattr(analytic, key[0])(key[1], replace(params)).raw_value)
+                for key in ORDER}
+        results = []
+
+        def evaluate(order):
+            results.append({key: repr(getattr(analytic, key[0])(key[1], params).raw_value)
+                            for key in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(ORDER[i:] + ORDER[:i],))
+                       for i in range(0, 16, 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [cold] * len(threads)
