@@ -137,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "backscatter network with tag selection under Nakagami-m fading.",
         epilog="Config values accept unit suffixes dB, m, uW, W; bare numbers are "
                "linear (SI base) units.  Power-ratio quantities given in dB are "
-               "converted as 10^(x/10).  The kernel backend is chosen with "
-               "BACKSEC_BACKEND=numba|numpy (default: numba when available).",
+               "converted as 10^(x/10).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_seed, mc_batch, resolve_backend
+from ._kernels import batch_seed, mc_batch
 from .errors import ValidationError
 from .system import ProtocolKind, SystemParams
 
@@ -86,13 +86,12 @@ def _kernel_args(params: SystemParams):
 
 
 def _run_counts(params: SystemParams, mc: McConfig) -> np.ndarray:
-    backend = resolve_backend()
     args = _kernel_args(params)
     n_batches = -(-mc.trials // mc.batch_size)
 
     def one(b: int) -> np.ndarray:
         size = min(mc.batch_size, mc.trials - b * mc.batch_size)
-        return mc_batch(backend, batch_seed(mc.seed, b), size, *args)
+        return mc_batch(batch_seed(mc.seed, b), size, *args)
 
     if mc.workers == 1 or n_batches == 1:
         parts = [one(b) for b in range(n_batches)]

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The whole module targets a commodity-laptop budget
-(well under ten minutes; a couple of minutes with the JIT backend).
+(well under ten minutes).
 """
 
 import math
