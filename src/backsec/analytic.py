@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import NumericalInstabilityWarning
 from .specfun import (
@@ -87,11 +87,15 @@ class ClosedFormReport:
 
 class _Derived:
     """Scalars of one SystemParams object (see `_derived`) and the pure values
-    all its closed forms share (expansion tables, W1 tails, moment sums), never
-    a verdict; threads racing on one object build equal values."""
+    all its closed forms share (expansion tables, Bessel order tables, W1
+    tails, W3 moments and whole sums with their breakdown terms), never a
+    verdict.  Each value is published complete, in one dict store, and never
+    changed after (a longer Bessel table replaces a shorter one whole), so
+    threads racing on one object build and read equal values."""
 
     __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e", "a", "eta1", "eta2",
-                 "tau", "c", "n", "cap_a", "cap_b", "tables", "w1_tails", "min_sums")
+                 "tau", "c", "n", "cap_a", "cap_b", "tables", "bessel", "w1_tails",
+                 "moments", "min_sums", "sums")
 
     def __init__(self, params: SystemParams):
         params.require_homogeneous()
@@ -110,17 +114,32 @@ class _Derived:
         self.cap_a = (self.tau - 1.0) / (self.eta1 * params.gamma_t)
         self.cap_b = self.tau * self.c
         self.tables = {}
+        self.bessel = {}
         self.w1_tails = {}
+        self.moments = {}
         self.min_sums = {}
+        self.sums = {}
 
     def expansion(self, n_power: int, m: int, lam: float) -> tuple:
         """(parts, DeltaTerm) for every term of the multinomial expansion of
         (F_{g^2})^n_power, in `compositions` order; built once per scenario."""
         key = (n_power, m, lam)
         if key not in self.tables:
-            self.tables[key] = tuple((c.parts, multinomial_delta(n_power, c, m, lam))
-                                     for c in compositions(n_power, m + 1))
+            self.tables.setdefault(key, tuple((c.parts, multinomial_delta(n_power, c, m, lam))
+                                              for c in compositions(n_power, m + 1)))
         return self.tables[key]
+
+    def bessel_orders(self, x: float, order: int) -> tuple:
+        """K_0(x), ..., K_n(x) for some n >= order, bit for bit equal to
+        `bessel_k(n, x)`: its K0/K1 base and its own upward recurrence.  A
+        longer table replaces a shorter one whole."""
+        table = self.bessel.get(x)
+        if table is None or len(table) <= order:
+            ks = list(table or (bessel_k(0, x), bessel_k(1, x)))
+            for j in range(len(ks) - 1, order):
+                ks.append(ks[j - 1] + (2.0 * j / x) * ks[j])
+            table = self.bessel[x] = tuple(ks)
+        return table
 
 
 def _derived(params: SystemParams) -> _Derived:
@@ -145,28 +164,33 @@ def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> flo
     return acc.value
 
 
-def _g_integral(alpha: int, p: float, q: float) -> float:
+def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
     """int_0^inf v^(alpha-1) exp(-p v - q/v) dv for integer alpha; equals
-    2 (q/p)^(alpha/2) K_alpha(2 sqrt(pq)), or Gamma(alpha)/p^alpha at q=0."""
+    2 (q/p)^(alpha/2) K_alpha(2 sqrt(pq)), with K_alpha = K_|alpha| taken from
+    k_orders, or Gamma(alpha)/p^alpha at q=0."""
     if q == 0.0:
         if alpha <= 0:
             raise ValueError("q=0 requires alpha >= 1")
         return math.exp(math.lgamma(alpha) - alpha * math.log(p))
-    return 2.0 * (q / p) ** (alpha / 2.0) * bessel_k(alpha, 2.0 * math.sqrt(p * q))
+    return 2.0 * (q / p) ** (alpha / 2.0) * k_orders[abs(alpha)]
 
 
 def _w1_tail_integral(d: _Derived, q_coef: float, k: int) -> float:
     """int_a^inf (w - a)^k exp(-q_coef / (w - a)) f_{g_s^2}(w) dw.
 
     Binomial-expands (v + a)^(ms-1) around the shifted variable v = w - a,
-    leaving one Bessel-type integral per power of v."""
+    leaving one Bessel-type integral per power of v, of orders k+1 .. k+ms."""
     if (q_coef, k) in d.w1_tails:
         return d.w1_tails[q_coef, k]
+    k_orders = None
+    if q_coef != 0.0:
+        k_orders = d.bessel_orders(2.0 * math.sqrt(d.lam_s * q_coef),
+                                   max(abs(k + 1), abs(k + d.ms)))
     pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
     total = 0.0
     for p in range(d.ms):
         total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
-                  * _g_integral(p + k + 1, d.lam_s, q_coef))
+                  * _g_integral(p + k + 1, d.lam_s, q_coef, k_orders))
     return d.w1_tails.setdefault((q_coef, k), pref * total)
 
 
@@ -186,34 +210,44 @@ def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
     so each expansion term contributes
         t4 Gamma(q+t4) / s^(q+t4) - lam_e t3 Gamma(q+t4+1) / s^(q+t4+1)
     with s = lam_e t3 + rate_shift (the t4 part vanishes when t4 == 0).
-    One pass over the tables feeds one compensated sum per q."""
+    That factor depends on (t3, t4) alone, so it is evaluated once per pair;
+    one pass over the tables feeds one compensated sum per q."""
     key = (count, rate_shift)
     if key not in d.min_sums:
         accs = [CompensatedSum() for _ in range(count)]
+        factors = {}
         for ell in range(1, d.n + 1):
             outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
             for _, delta in d.expansion(ell, d.me, d.lam_e):
                 t3, t4 = delta.theta1, delta.theta2
                 if t3 == 0:
                     continue  # constant term of F^ell; zero derivative
-                log_s = math.log(d.lam_e * t3 + rate_shift)
-                for q, acc in enumerate(accs):
-                    term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
-                                                    - (q + t4 + 1) * log_s)
-                    if t4 > 0:
-                        term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
+                if (t3, t4) not in factors:
+                    log_s = math.log(d.lam_e * t3 + rate_shift)
+                    terms = []
+                    for q in range(count):
+                        term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
+                                                        - (q + t4 + 1) * log_s)
+                        if t4 > 0:
+                            term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
+                        terms.append(term)
+                    factors[t3, t4] = terms
+                for acc, term in zip(accs, factors[t3, t4]):
                     acc.add(outer * delta.value * term)
-        d.min_sums[key] = accs
+        d.min_sums.setdefault(key, accs)
     return [_checked(acc, "weakest-eavesdropper moment", threshold)
             for acc in d.min_sums[key]]
 
 
 def _w3_moments(d: _Derived, rate_shift: float, threshold: Optional[float],
-                minimum_stat: bool) -> list:
+                minimum_stat: bool) -> Sequence[float]:
     """W3 moments q = 0..md-1; against the weakest of n if minimum_stat."""
     if minimum_stat:
         return _w3_min_moments(d, d.md, rate_shift, threshold)
-    return [_w3_moment(d, q, rate_shift) for q in range(d.md)]
+    if rate_shift not in d.moments:
+        d.moments.setdefault(rate_shift, tuple(_w3_moment(d, q, rate_shift)
+                                               for q in range(d.md)))
+    return d.moments[rate_shift]
 
 
 def p1(params: SystemParams) -> float:
@@ -230,14 +264,22 @@ def _p1_parts(d: _Derived) -> tuple[float, float]:
 
 def _cmp_max(d: _Derived, x: float, threshold: Optional[float],
              breakdown: Optional[dict] = None) -> float:
-    """P(max of n destination gains < x * W3)."""
-    acc = CompensatedSum()
-    for parts, delta in d.expansion(d.n, d.md, d.lam_d):
-        term = (delta.value * x ** delta.theta2
-                * _w3_moment(d, delta.theta2, d.lam_d * delta.theta1 * x))
-        acc.add(term)
-        if breakdown is not None:
-            breakdown[f"comp{parts}"] = term
+    """P(max of n destination gains < x * W3); the sum and its terms are
+    built once per x and checked on every use."""
+    key = ("max", x)
+    if key not in d.sums:
+        acc, terms, w3 = CompensatedSum(), [], {}
+        for parts, delta in d.expansion(d.n, d.md, d.lam_d):
+            t1, t2 = delta.theta1, delta.theta2
+            if (t1, t2) not in w3:
+                w3[t1, t2] = _w3_moment(d, t2, d.lam_d * t1 * x)
+            term = delta.value * x ** t2 * w3[t1, t2]
+            acc.add(term)
+            terms.append((f"comp{parts}", term))
+        d.sums.setdefault(key, (acc, tuple(terms)))
+    acc, terms = d.sums[key]
+    if breakdown is not None:
+        breakdown.update(terms)
     return _checked(acc, "best-destination comparison", threshold)
 
 
@@ -258,18 +300,27 @@ def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
 
 
 def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
-    acc = CompensatedSum()
-    for parts, delta in d.expansion(d.n, d.md, d.lam_d):
-        t1, t2 = delta.theta1, delta.theta2
-        q_coef = d.lam_d * t1 * d.cap_a
-        inner = 0.0
-        for q in range(t2 + 1):
-            inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
-                      * _w1_tail_integral(d, q_coef, q - t2)
-                      * _w3_moment(d, q, d.lam_d * t1 * d.cap_b))
-        term = delta.value * inner
-        acc.add(term)
-        breakdown[f"p2.comp{parts}"] = term
+    """One term per composition; its inner q-sum depends on the composition
+    only through (theta1, theta2), so each such sum is evaluated once."""
+    if "sots_p2" not in d.sums:
+        acc, terms, inners, w3 = CompensatedSum(), [], {}, {}
+        for parts, delta in d.expansion(d.n, d.md, d.lam_d):
+            t1, t2 = delta.theta1, delta.theta2
+            if (t1, t2) not in inners:
+                q_coef = d.lam_d * t1 * d.cap_a
+                inner = 0.0
+                for q in range(t2 + 1):
+                    if (t1, q) not in w3:
+                        w3[t1, q] = _w3_moment(d, q, d.lam_d * t1 * d.cap_b)
+                    inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
+                              * _w1_tail_integral(d, q_coef, q - t2) * w3[t1, q])
+                inners[t1, t2] = inner
+            term = delta.value * inners[t1, t2]
+            acc.add(term)
+            terms.append((f"p2.comp{parts}", term))
+        d.sums.setdefault("sots_p2", (acc, tuple(terms)))
+    acc, terms = d.sums["sots_p2"]
+    breakdown.update(terms)
     return _checked(acc, "best-destination outage tail", threshold)
 
 
@@ -277,22 +328,27 @@ def _single_tail(d: _Derived, threshold: Optional[float],
                  breakdown: Optional[dict] = None, minimum_stat: bool = False) -> float:
     """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
-    q_coef = d.lam_d * d.cap_a
     # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
     w3 = _w3_moments(d, d.lam_d * d.cap_b, threshold, minimum_stat)
-    total = CompensatedSum()
-    fact = 1.0
-    for j in range(d.md):
-        if j > 0:
-            fact *= j
-        inner = 0.0
-        for q in range(j + 1):
-            inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
-                      * _w1_tail_integral(d, q_coef, q - j) * w3[q])
-        term = (d.lam_d ** j / fact) * inner
-        total.add(term)
-        if breakdown is not None:
-            breakdown[f"tail.j={j}"] = term
+    key = ("tail", minimum_stat)
+    if key not in d.sums:
+        q_coef = d.lam_d * d.cap_a
+        total, terms = CompensatedSum(), []
+        fact = 1.0
+        for j in range(d.md):
+            if j > 0:
+                fact *= j
+            inner = 0.0
+            for q in range(j + 1):
+                inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
+                          * _w1_tail_integral(d, q_coef, q - j) * w3[q])
+            term = (d.lam_d ** j / fact) * inner
+            total.add(term)
+            terms.append((f"tail.j={j}", term))
+        d.sums.setdefault(key, (total, tuple(terms)))
+    total, terms = d.sums[key]
+    if breakdown is not None:
+        breakdown.update(terms)
     return _checked(total, "survival tail", threshold)
 
 

@@ -218,13 +218,14 @@ class Composition:
         return cls(parts, sum(parts))
 
 
-def _compositions_iter(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_iter(total - first, parts - 1):
-            yield (first,) + rest
+def _composition_tuples(total: int, parts: int) -> list:
+    # level[t]: every composition of t into k parts in ascending lexicographic
+    # order, for k = 1, 2, ..., parts; first part ascending, then the rest
+    level = [[(t,)] for t in range(total + 1)]
+    for _ in range(parts - 1):
+        level = [[(first,) + rest for first in range(t + 1) for rest in level[t - first]]
+                 for t in range(total + 1)]
+    return level[total]
 
 
 def compositions(total: int, parts: int) -> tuple[Composition, ...]:
@@ -234,7 +235,15 @@ def compositions(total: int, parts: int) -> tuple[Composition, ...]:
         raise ValueError(f"total must be non-negative, got {total}")
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    return tuple(Composition(p, total) for p in _compositions_iter(total, parts))
+    return tuple(_generated(p, total) for p in _composition_tuples(total, parts))
+
+
+def _generated(parts: tuple, total: int) -> Composition:
+    # parts from _composition_tuples are valid by construction, so skip
+    # __post_init__'s checks; a public Composition(...) still runs them
+    comp = object.__new__(Composition)
+    comp.__dict__.update(parts=parts, total=total)
+    return comp
 
 
 class DeltaTerm(NamedTuple):

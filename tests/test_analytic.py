@@ -21,6 +21,7 @@ from backsec.config import apply_axis
 from backsec.errors import NumericalInstabilityWarning, ValidationError
 from backsec.montecarlo import McConfig, estimate_all
 from backsec.specfun import (
+    bessel_k,
     compositions,
     multinomial_delta,
     reg_lower_inc_gamma,
@@ -333,6 +334,16 @@ FROZEN_RAW = {
         "ip_asymptotic": ('1.203977461771535e-09', '0.0004634163227117405',
                           '9.031672511388976e-28', '0.020404948892735586'),
     },
+    (12, 4): {  # 1820 compositions in 481 (theta1, theta2) groups
+        "sop_exact": ('1.3072465237247785e-07', '0.0006377531602771436',
+                      '4.360018134901944e-20', '0.02435701281596092'),
+        "sop_asymptotic": ('1.2949163104117289e-07', '0.0006243346630796509',
+                           '4.0754513367624755e-20', '0.02422039989256175'),
+        "ip_exact": ('3.481218419337138e-10', '0.00017389366328685572',
+                     '1.5208043991050943e-25', '0.008547506636689167'),
+        "ip_asymptotic": ('3.481193381761326e-10', '0.0001738936632843524',
+                          '1.520804399099798e-25', '0.008547506636686686'),
+    },
 }
 
 
@@ -367,6 +378,18 @@ class TestBitIdentity:
         d = analytic._Derived(make_params())
         ref = tuple((c.parts, multinomial_delta(n, c, m, lam)) for c in compositions(n, m + 1))
         assert d.expansion(n, m, lam) == ref
+
+    @pytest.mark.parametrize("x", [1e-3, 0.17, 1.3, 2.0, 2.0000001, 3.7, 25.0])
+    def test_bessel_order_table_equals_bessel_k(self, x):
+        # x <= 2 takes bessel_k's ascending series, x > 2 its continued fraction
+        d = analytic._Derived(make_params())
+        short = d.bessel_orders(x, 2)
+        table = d.bessel_orders(x, 40)
+        assert len(short) == 3 and table[:3] == short  # grown from the short one
+        cold = analytic._Derived(make_params()).bessel_orders(x, 40)
+        for n in range(-40, 41):
+            assert table[abs(n)] == cold[abs(n)] == bessel_k(n, x), n
+        assert d.bessel_orders(x, 7) is table  # a long enough table is reused
 
     def test_expansion_table_built_once_per_evaluation(self):
         params = make_params(n_tags=8, m=4)
@@ -411,14 +434,43 @@ class TestSharedDerivedTerms:
             assert cold["sop_exact", ProtocolKind.METS][2] > 0
             assert cold["sop_asymptotic", ProtocolKind.METS][2] > 0
 
-    @pytest.mark.parametrize("form, proto", [("sop_exact", ProtocolKind.SOTS),
-                                             ("sop_exact", ProtocolKind.METS),
-                                             ("ip_asymptotic", ProtocolKind.METS)])
-    def test_threshold_applies_per_call(self, form, proto):
+    @pytest.mark.parametrize("first, second, tight", [
+        (("sop_exact", ProtocolKind.SOTS),) * 2 + (1.0,),
+        (("sop_exact", ProtocolKind.METS),) * 2 + (1.0,),
+        (("ip_asymptotic", ProtocolKind.METS),) * 2 + (1.0,),
+        # one best-destination comparison sum serves both SOTS IP forms
+        (("ip_exact", ProtocolKind.SOTS), ("ip_asymptotic", ProtocolKind.SOTS), 1.0),
+        # one survival-tail sum serves OTS and RTS; its terms are all positive,
+        # so its ratio is 1 to rounding and only a threshold below 1 trips it
+        (("sop_exact", ProtocolKind.OTS), ("sop_exact", ProtocolKind.RTS), 0.5),
+    ], ids=["sop_exact-ProtocolKind.SOTS", "sop_exact-ProtocolKind.METS",
+            "ip_asymptotic-ProtocolKind.METS", "ip_exact-then-ip_asymptotic-ProtocolKind.SOTS",
+            "sop_exact-ProtocolKind.OTS-then-RTS"])
+    def test_threshold_applies_per_call(self, first, second, tight):
         params = make_params(n_tags=4, m=3)
-        assert _observed(form, proto, params)[2] == 0
-        assert _observed(form, proto, params, threshold=1.0)[2] > 0
-        assert _observed(form, proto, params)[2] == 0
+        assert _observed(*first, params)[2] == 0
+        assert _observed(*second, params, threshold=tight)[2] > 0
+        assert _observed(*second, params)[2] == 0
+        assert _observed(*first, params, threshold=tight)[2] > 0
+
+    def test_probe_premise_every_specfun_name_is_called(self, monkeypatch):
+        # perfbench/probes.py times the specfun calls that the 16 forms make
+        # through these analytic names at the (8, 4) cell, and has nothing to
+        # time for a name that fresh params never call
+        names = ("bessel_k", "compositions", "multinomial_delta",
+                 "reg_lower_inc_gamma", "reg_upper_inc_gamma")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(analytic, name, counted(name, getattr(analytic, name)))
+        _evaluate_all(make_params(gamma_t_db=30.0, n_tags=8, m=4))
+        assert all(calls[name] >= 1 for name in names), calls
 
     def test_one_derived_per_params_object(self):
         params = make_params()
@@ -468,25 +520,28 @@ class TestSharedDerivedTerms:
         assert "_derived" not in repr(params) and "_derived" not in field_names
 
     def test_threads_racing_on_one_object_get_the_cold_values(self):
-        params = make_params(n_tags=4, m=3)
-        cold = {key: repr(getattr(analytic, key[0])(key[1], replace(params)).raw_value)
-                for key in ORDER}
-        results = []
+        # at (8, 4) the Bessel order tables grow past order 2 while threads race
+        for n, m in ((4, 3), (8, 4)):
+            params = make_params(n_tags=n, m=m)
+            cold = {key: repr(getattr(analytic, key[0])(key[1], replace(params)).raw_value)
+                    for key in ORDER}
+            results = []
 
-        def evaluate(order):
-            results.append({key: repr(getattr(analytic, key[0])(key[1], params).raw_value)
-                            for key in order})
+            def evaluate(order):
+                results.append({key: repr(getattr(analytic, key[0])(key[1], params).raw_value)
+                                for key in order})
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=evaluate, args=(ORDER[i:] + ORDER[:i],))
-                       for i in range(0, 16, 2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [cold] * len(threads)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=evaluate, args=(ORDER[i:] + ORDER[:i],))
+                           for i in range(0, 16, 2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [cold] * len(threads)
+        assert max(map(len, analytic._derived(params).bessel.values())) > 3

@@ -5,6 +5,7 @@ mpmath quadrature of the defining integrals at 30 significant digits, and
 exact rational arithmetic for the multinomial coefficients.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -182,6 +183,22 @@ class TestCompositions:
             Composition((1, 2), 4)
         with pytest.raises(ValueError):
             Composition((-1, 2), 1)
+
+    @pytest.mark.parametrize("total, parts", [(0, 1), (0, 4), (3, 1), (4, 3), (6, 4), (12, 5)])
+    def test_generated_equal_public_compositions(self, total, parts):
+        # compositions() builds its values without re-running the checks of
+        # Composition(...); each must still equal the checked public value
+        got = compositions(total, parts)
+        brute = sorted(p for p in itertools.product(range(total + 1), repeat=parts)
+                       if sum(p) == total)
+        assert [c.parts for c in got] == brute
+        for c in got:
+            public = Composition.of(c.parts)
+            assert type(c) is Composition
+            assert c == public and hash(c) == hash(public)
+            assert c.total == total
+        with pytest.raises(ValueError):
+            Composition((1, 2), 4)
 
 
 def _delta_exact(n_power, parts, m, lam):
