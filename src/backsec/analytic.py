@@ -31,6 +31,7 @@ the reporting layer only.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -87,15 +88,16 @@ class ClosedFormReport:
 
 class _Derived:
     """Scalars of one SystemParams object (see `_derived`) and the pure values
-    all its closed forms share (expansion tables, Bessel order tables, W1
-    tails, W3 moments and whole sums with their breakdown terms), never a
-    verdict.  Each value is published complete, in one dict store, and never
-    changed after (a longer Bessel table replaces a shorter one whole), so
-    threads racing on one object build and read equal values."""
+    all its closed forms share (expansion tables and their term labels, Bessel
+    order tables, W1 tails, W3 moments, the weakest-eavesdropper expansion
+    rows and whole sums with their breakdown terms), never a verdict.  Each
+    value is published complete, in one store, and never changed after (a
+    longer Bessel table replaces a shorter one whole), so threads racing on
+    one object build and read equal values."""
 
     __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e", "a", "eta1", "eta2",
-                 "tau", "c", "n", "cap_a", "cap_b", "tables", "bessel", "w1_tails",
-                 "moments", "min_sums", "sums")
+                 "tau", "c", "n", "cap_a", "cap_b", "tables", "labels", "bessel",
+                 "w1_tails", "moments", "min_rows", "min_sums", "sums")
 
     def __init__(self, params: SystemParams):
         params.require_homogeneous()
@@ -114,9 +116,11 @@ class _Derived:
         self.cap_a = (self.tau - 1.0) / (self.eta1 * params.gamma_t)
         self.cap_b = self.tau * self.c
         self.tables = {}
+        self.labels = {}
         self.bessel = {}
         self.w1_tails = {}
         self.moments = {}
+        self.min_rows = None
         self.min_sums = {}
         self.sums = {}
 
@@ -128,6 +132,14 @@ class _Derived:
             self.tables.setdefault(key, tuple((c.parts, multinomial_delta(n_power, c, m, lam))
                                               for c in compositions(n_power, m + 1)))
         return self.tables[key]
+
+    def term_labels(self, n_power: int, m: int, lam: float) -> tuple:
+        """The breakdown label f"comp{parts}" of each term of `expansion`."""
+        key = (n_power, m, lam)
+        if key not in self.labels:
+            self.labels.setdefault(key, tuple(f"comp{parts}" for parts, _
+                                              in self.expansion(n_power, m, lam)))
+        return self.labels[key]
 
     def bessel_orders(self, x: float, order: int) -> tuple:
         """K_0(x), ..., K_n(x) for some n >= order, bit for bit equal to
@@ -211,32 +223,44 @@ def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
         t4 Gamma(q+t4) / s^(q+t4) - lam_e t3 Gamma(q+t4+1) / s^(q+t4+1)
     with s = lam_e t3 + rate_shift (the t4 part vanishes when t4 == 0).
     That factor depends on (t3, t4) alone, so it is evaluated once per pair;
-    one pass over the tables feeds one compensated sum per q."""
+    each q-sum adds (outer delta) * factor over the rows of `_w3_min_rows`."""
     key = (count, rate_shift)
     if key not in d.min_sums:
-        accs = [CompensatedSum() for _ in range(count)]
-        factors = {}
-        for ell in range(1, d.n + 1):
-            outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
-            for _, delta in d.expansion(ell, d.me, d.lam_e):
-                t3, t4 = delta.theta1, delta.theta2
-                if t3 == 0:
-                    continue  # constant term of F^ell; zero derivative
-                if (t3, t4) not in factors:
-                    log_s = math.log(d.lam_e * t3 + rate_shift)
-                    terms = []
-                    for q in range(count):
-                        term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
-                                                        - (q + t4 + 1) * log_s)
-                        if t4 > 0:
-                            term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
-                        terms.append(term)
-                    factors[t3, t4] = terms
-                for acc, term in zip(accs, factors[t3, t4]):
-                    acc.add(outer * delta.value * term)
+        pairs, coefs = _w3_min_rows(d)
+        factors = [{} for _ in range(count)]  # per q: (t3, t4) -> factor
+        for t3, t4 in dict.fromkeys(pairs):
+            log_s = math.log(d.lam_e * t3 + rate_shift)
+            for q in range(count):
+                term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
+                                                - (q + t4 + 1) * log_s)
+                if t4 > 0:
+                    term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
+                factors[q][t3, t4] = term
+        accs = []
+        for factor in factors:
+            acc = CompensatedSum()
+            acc.add_all(map(operator.mul, coefs, map(factor.__getitem__, pairs)))
+            accs.append(acc)
         d.min_sums.setdefault(key, accs)
     return [_checked(acc, "weakest-eavesdropper moment", threshold)
             for acc in d.min_sums[key]]
+
+
+def _w3_min_rows(d: _Derived) -> tuple:
+    """The expansion terms of the weakest-of-n density, shared by every rate
+    shift: the (t3, t4) of each term and its coefficient outer * delta, where
+    outer = C(n, ell) (-1)^(ell+1), in table order and without the t3 == 0
+    terms (the constant term of F^ell has zero derivative)."""
+    if d.min_rows is None:
+        pairs, coefs = [], []
+        for ell in range(1, d.n + 1):
+            outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
+            for _, (value, t3, t4) in d.expansion(ell, d.me, d.lam_e):
+                if t3 != 0:
+                    pairs.append((t3, t4))
+                    coefs.append(outer * value)
+        d.min_rows = (tuple(pairs), tuple(coefs))
+    return d.min_rows
 
 
 def _w3_moments(d: _Derived, rate_shift: float, threshold: Optional[float],
@@ -268,15 +292,16 @@ def _cmp_max(d: _Derived, x: float, threshold: Optional[float],
     built once per x and checked on every use."""
     key = ("max", x)
     if key not in d.sums:
-        acc, terms, w3 = CompensatedSum(), [], {}
-        for parts, delta in d.expansion(d.n, d.md, d.lam_d):
-            t1, t2 = delta.theta1, delta.theta2
+        terms, w3 = [], {}
+        for _, (value, t1, t2) in d.expansion(d.n, d.md, d.lam_d):
             if (t1, t2) not in w3:
-                w3[t1, t2] = _w3_moment(d, t2, d.lam_d * t1 * x)
-            term = delta.value * x ** t2 * w3[t1, t2]
-            acc.add(term)
-            terms.append((f"comp{parts}", term))
-        d.sums.setdefault(key, (acc, tuple(terms)))
+                w3[t1, t2] = (x ** t2, _w3_moment(d, t2, d.lam_d * t1 * x))
+            x_pow, moment = w3[t1, t2]
+            terms.append(value * x_pow * moment)
+        acc = CompensatedSum()
+        acc.add_all(terms)
+        labels = d.term_labels(d.n, d.md, d.lam_d)
+        d.sums.setdefault(key, (acc, tuple(zip(labels, terms))))
     acc, terms = d.sums[key]
     if breakdown is not None:
         breakdown.update(terms)
@@ -303,9 +328,8 @@ def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
     """One term per composition; its inner q-sum depends on the composition
     only through (theta1, theta2), so each such sum is evaluated once."""
     if "sots_p2" not in d.sums:
-        acc, terms, inners, w3 = CompensatedSum(), [], {}, {}
-        for parts, delta in d.expansion(d.n, d.md, d.lam_d):
-            t1, t2 = delta.theta1, delta.theta2
+        terms, inners, w3 = [], {}, {}
+        for _, (value, t1, t2) in d.expansion(d.n, d.md, d.lam_d):
             if (t1, t2) not in inners:
                 q_coef = d.lam_d * t1 * d.cap_a
                 inner = 0.0
@@ -315,10 +339,11 @@ def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
                     inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
                               * _w1_tail_integral(d, q_coef, q - t2) * w3[t1, q])
                 inners[t1, t2] = inner
-            term = delta.value * inners[t1, t2]
-            acc.add(term)
-            terms.append((f"p2.comp{parts}", term))
-        d.sums.setdefault("sots_p2", (acc, tuple(terms)))
+            terms.append(value * inners[t1, t2])
+        acc = CompensatedSum()
+        acc.add_all(terms)
+        labels = ["p2." + label for label in d.term_labels(d.n, d.md, d.lam_d)]
+        d.sums.setdefault("sots_p2", (acc, tuple(zip(labels, terms))))
     acc, terms = d.sums["sots_p2"]
     breakdown.update(terms)
     return _checked(acc, "best-destination outage tail", threshold)
@@ -333,7 +358,7 @@ def _single_tail(d: _Derived, threshold: Optional[float],
     key = ("tail", minimum_stat)
     if key not in d.sums:
         q_coef = d.lam_d * d.cap_a
-        total, terms = CompensatedSum(), []
+        terms = []
         fact = 1.0
         for j in range(d.md):
             if j > 0:
@@ -342,10 +367,11 @@ def _single_tail(d: _Derived, threshold: Optional[float],
             for q in range(j + 1):
                 inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
                           * _w1_tail_integral(d, q_coef, q - j) * w3[q])
-            term = (d.lam_d ** j / fact) * inner
-            total.add(term)
-            terms.append((f"tail.j={j}", term))
-        d.sums.setdefault(key, (total, tuple(terms)))
+            terms.append((d.lam_d ** j / fact) * inner)
+        total = CompensatedSum()
+        total.add_all(terms)
+        d.sums.setdefault(key, (total, tuple((f"tail.j={j}", term)
+                                             for j, term in enumerate(terms))))
     total, terms = d.sums[key]
     if breakdown is not None:
         breakdown.update(terms)

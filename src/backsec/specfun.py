@@ -252,6 +252,14 @@ class DeltaTerm(NamedTuple):
     theta2: int
 
 
+def _lgamma_table(size: int) -> tuple:
+    """math.lgamma(k) at index k for k = 1..size-1 (index 0, a pole, is unused)."""
+    return (math.inf,) + tuple(math.lgamma(k) for k in range(1, size))
+
+
+_LGAMMA = _lgamma_table(257)
+
+
 def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: float) -> DeltaTerm:
     """Coefficient of one term in the multinomial expansion of the order-
     statistic CDF power (F_{g^2})^n_power.
@@ -263,6 +271,11 @@ def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: flo
         theta2 = n_3 + 2 n_4 + ... + (m-1) n_{m+1}
         delta  = (-1)^theta1 lambda_tilde^theta2 n_power!
                  / (prod_i n_i! * prod_{i=1..m} ((i-1)!)^{n_{i+1}})
+
+    The log magnitude subtracts lgamma(n_i + 1) for every part, then
+    n_{i+1} lgamma(i) for i = 1..m; the steps that subtract an exact zero
+    (lgamma(1) == lgamma(2) == 0.0, or a zero part) are skipped, which leaves
+    every other step, and so the result, bit for bit as written.
     """
     if len(comp.parts) != m + 1:
         raise ValueError(
@@ -273,13 +286,19 @@ def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: flo
     if lambda_tilde <= 0.0:
         raise ValueError(f"lambda_tilde must be positive, got {lambda_tilde}")
     parts = comp.parts
-    theta1 = sum(parts[1:])
-    theta2 = sum((i - 1) * parts[i] for i in range(2, m + 1))
-    log_mag = theta2 * math.log(lambda_tilde) + math.lgamma(n_power + 1)
+    theta1 = n_power - parts[0]
+    theta2 = 0
+    for i in range(2, m + 1):
+        theta2 += (i - 1) * parts[i]
+    size = max(n_power + 2, m + 1)
+    lg = _LGAMMA if size <= len(_LGAMMA) else _lgamma_table(size)
+    log_mag = theta2 * math.log(lambda_tilde) + lg[n_power + 1]
     for ni in parts:
-        log_mag -= math.lgamma(ni + 1)
-    for i in range(1, m + 1):
-        log_mag -= parts[i] * math.lgamma(i)
+        if ni > 1:
+            log_mag -= lg[ni + 1]
+    for i in range(3, m + 1):
+        if parts[i]:
+            log_mag -= parts[i] * lg[i]
     sign = -1.0 if theta1 % 2 else 1.0
     return DeltaTerm(sign * math.exp(log_mag), theta1, theta2)
 
@@ -296,13 +315,21 @@ class CompensatedSum:
         self.abs_sum = 0.0
 
     def add(self, term: float) -> None:
-        self.abs_sum += abs(term)
-        t = self._s + term
-        if abs(self._s) >= abs(term):
-            self._c += (self._s - t) + term
-        else:
-            self._c += (term - t) + self._s
-        self._s = t
+        self.add_all((term,))
+
+    def add_all(self, terms) -> None:
+        """Add each term in order, with the running sum in local variables."""
+        s, c, abs_sum = self._s, self._c, self.abs_sum
+        for term in terms:
+            a = abs(term)
+            abs_sum += a
+            t = s + term
+            if abs(s) >= a:
+                c += (s - t) + term
+            else:
+                c += (term - t) + s
+            s = t
+        self._s, self._c, self.abs_sum = s, c, abs_sum
 
     @property
     def value(self) -> float:

@@ -243,6 +243,32 @@ class TestMultinomialDelta:
             multinomial_delta(3, Composition.of((1, 1, 1)), 3, 1.0)
         with pytest.raises(ValueError):
             multinomial_delta(4, Composition.of((1, 1, 1)), 2, 1.0)
+        for lam in (0.0, -1.5):
+            with pytest.raises(ValueError):
+                multinomial_delta(3, Composition.of((1, 1, 1)), 2, lam)
+
+    @pytest.mark.parametrize("n,m", [(0, 1), (1, 3), (5, 2), (9, 4), (40, 2), (300, 1)])
+    @pytest.mark.parametrize("lam", [0.37, 2.9])
+    def test_equals_docstring_formula_bit_for_bit(self, n, m, lam):
+        # (300, 1) needs lgamma beyond the small-integer table
+        for comp in compositions(n, m + 1):
+            d = multinomial_delta(n, comp, m, lam)
+            ref = _delta_transcribed(n, comp.parts, m, lam)
+            assert (d.value, d.theta1, d.theta2) == ref
+            assert repr(d.value) == repr(ref[0])  # the sign of a zero too
+
+
+def _delta_transcribed(n_power, parts, m, lam):
+    """The docstring formula in floating point, one lgamma step per factor."""
+    theta1 = sum(parts[1:])
+    theta2 = sum((i - 1) * parts[i] for i in range(2, m + 1))
+    log_mag = theta2 * math.log(lam) + math.lgamma(n_power + 1)
+    for ni in parts:
+        log_mag -= math.lgamma(ni + 1)
+    for i in range(1, m + 1):
+        log_mag -= parts[i] * math.lgamma(i)
+    sign = -1.0 if theta1 % 2 else 1.0
+    return sign * math.exp(log_mag), theta1, theta2
 
 
 class TestExpansionIdentities:
@@ -291,3 +317,60 @@ class TestCompensatedSum:
         acc.add(-1.0)
         assert acc.value == pytest.approx(1e-14, rel=1e-10)
         assert acc.condition > 1e13
+
+
+def _neumaier_state(terms):
+    """(value, abs_sum) of the Neumaier recurrence, one plain step per term."""
+    s = c = abs_sum = 0.0
+    for term in terms:
+        abs_sum += abs(term)
+        t = s + term
+        if abs(s) >= abs(term):
+            c += (s - t) + term
+        else:
+            c += (term - t) + s
+        s = t
+    return s + c, abs_sum
+
+
+class TestAddAll:
+    """`add_all` is `add` term by term, bit for bit."""
+
+    CASES = {
+        "empty": [],
+        "negative zero first": [-0.0, 0.0, -0.0, 1e-300, -1e-300],
+        "subnormals": [5e-324, -2.5e-320, 1e-310, 4.9e-322, -1e-310, 2.2250738585072e-308],
+        "1e16 cancellation": [1e16, 1.0, -1e16, 3.0, 1e16, -0.5, -1e16, 1e-3],
+        "mixed": [math.pi * (-1.7) ** k * 10.0 ** (k % 7 - 3) for k in range(60)],
+    }
+
+    @staticmethod
+    def _state(acc):
+        return repr(acc.value), repr(acc.abs_sum), repr(acc.condition)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_one_add_per_term(self, name):
+        terms = self.CASES[name]
+        one_by_one = CompensatedSum()
+        for term in terms:
+            one_by_one.add(term)
+        batch, from_iterator = CompensatedSum(), CompensatedSum()
+        batch.add_all(terms)
+        from_iterator.add_all(iter(terms))
+        assert self._state(batch) == self._state(one_by_one) == self._state(from_iterator)
+        value, abs_sum = _neumaier_state(terms)
+        assert (repr(batch.value), repr(batch.abs_sum)) == (repr(value), repr(abs_sum))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_batch_after_earlier_adds(self, name):
+        head = [1e16, -3.5, 2.0 ** -60]
+        terms = self.CASES[name]
+        one_by_one, batched = CompensatedSum(), CompensatedSum()
+        for term in head + terms:
+            one_by_one.add(term)
+        for term in head:
+            batched.add(term)
+        batched.add_all(terms)
+        assert self._state(batched) == self._state(one_by_one)
+        value, abs_sum = _neumaier_state(head + terms)
+        assert (repr(batched.value), repr(batched.abs_sum)) == (repr(value), repr(abs_sum))
