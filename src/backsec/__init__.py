@@ -12,19 +12,10 @@ from .analytic import (
 )
 from .channel import NakagamiLink
 from .config import SweepSpec, load_config, loads_config
-from .ehmodel import EhParams, harvested_power, optimal_reflection, phi_threshold
+from .ehmodel import EhParams, harvested_power, optimal_reflection
 from .errors import ConfigParseError, NumericalInstabilityWarning, ValidationError
 from .montecarlo import McConfig, MetricEstimate, estimate_all, ip_mc, sop_mc
-from .system import (
-    ProtocolKind,
-    Receiver,
-    SystemParams,
-    TagRealization,
-    draw_realizations,
-    secrecy_capacity,
-    select_tag,
-    snr_at,
-)
+from .system import ProtocolKind, SystemParams
 
 __all__ = [
     "ClosedFormReport",
@@ -35,12 +26,9 @@ __all__ = [
     "NakagamiLink",
     "NumericalInstabilityWarning",
     "ProtocolKind",
-    "Receiver",
     "SweepSpec",
     "SystemParams",
-    "TagRealization",
     "ValidationError",
-    "draw_realizations",
     "estimate_all",
     "harvested_power",
     "ip_asymptotic",
@@ -50,10 +38,6 @@ __all__ = [
     "loads_config",
     "optimal_reflection",
     "p1",
-    "phi_threshold",
-    "secrecy_capacity",
-    "select_tag",
-    "snr_at",
     "sop_asymptotic",
     "sop_exact",
     "sop_mc",

@@ -125,11 +125,12 @@ class _Derived:
         self.sums = {}
 
     def expansion(self, n_power: int, m: int, lam: float) -> tuple:
-        """(parts, DeltaTerm) for every term of the multinomial expansion of
-        (F_{g^2})^n_power, in `compositions` order; built once per scenario."""
+        """(parts, (delta, theta1, theta2)) for every term of the multinomial
+        expansion of (F_{g^2})^n_power, in `compositions` order; built once
+        per scenario."""
         key = (n_power, m, lam)
         if key not in self.tables:
-            self.tables.setdefault(key, tuple((c.parts, multinomial_delta(n_power, c, m, lam))
+            self.tables.setdefault(key, tuple((c, multinomial_delta(n_power, c, m, lam))
                                               for c in compositions(n_power, m + 1)))
         return self.tables[key]
 

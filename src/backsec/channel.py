@@ -1,5 +1,4 @@
-"""Nakagami-m link model: squared-gain distributions, sampling, and the
-order-statistic CDFs/PDFs used by the best-link and weakest-link selectors.
+"""Nakagami-m link model.
 
 The squared envelope of a Nakagami-m fade is Gamma distributed with integer
 shape m and rate lambda_tilde = m / omega, so every closed form downstream
@@ -8,33 +7,11 @@ reduces to finite sums; non-integer m is rejected at construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .specfun import (
-    CompensatedSum,
-    compositions,
-    multinomial_delta,
-    reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
-)
 
-__all__ = [
-    "NakagamiLink",
-    "cdf_gain_sq",
-    "cdf_gain_sq_finite_sum",
-    "cdf_max_order_stat",
-    "cdf_max_order_stat_expansion",
-    "cdf_min_order_stat",
-    "cdf_min_order_stat_expansion",
-    "pdf_gain_sq",
-    "pdf_min_order_stat",
-    "pdf_min_order_stat_expansion",
-    "sample_gain_sq",
-]
+__all__ = ["NakagamiLink"]
 
 
 @dataclass(frozen=True)
@@ -73,117 +50,3 @@ class NakagamiLink:
             raise ValidationError(f"lambda_tilde must be positive, got {lambda_tilde}")
         return cls(m, m / lambda_tilde, distance, pathloss_exp)
 
-
-def pdf_gain_sq(link: NakagamiLink, t: float) -> float:
-    """Density of the squared gain: lam^m t^(m-1) exp(-lam t) / Gamma(m)."""
-    if t <= 0:
-        raise ValueError(f"pdf_gain_sq requires t > 0, got {t}")
-    lam = link.lambda_tilde
-    return math.exp(link.m * math.log(lam) + (link.m - 1) * math.log(t)
-                    - lam * t - math.lgamma(link.m))
-
-
-def cdf_gain_sq(link: NakagamiLink, t: float) -> float:
-    """CDF of the squared gain, P(m, lambda_tilde * t)."""
-    if t < 0:
-        raise ValueError(f"cdf_gain_sq requires t >= 0, got {t}")
-    return reg_lower_inc_gamma(link.m, link.lambda_tilde * t)
-
-
-def cdf_gain_sq_finite_sum(link: NakagamiLink, t: float) -> float:
-    """Same CDF via the integer-shape finite sum
-    1 - exp(-lam t) * sum_{j<m} (lam t)^j / j!  (dual-route self check)."""
-    if t < 0:
-        raise ValueError(f"cdf_gain_sq requires t >= 0, got {t}")
-    x = link.lambda_tilde * t
-    if x == 0.0:
-        return 0.0
-    term = 1.0
-    total = 1.0
-    for j in range(1, link.m):
-        term *= x / j
-        total += term
-    # total = sum_{j<m} x^j/j! < e^x, so the expm1 argument is negative
-    return -math.expm1(math.log(total) - x)
-
-
-def sample_gain_sq(link: NakagamiLink, rng: np.random.Generator, size=None):
-    """Draw squared gains; Gamma(shape=m, scale=omega/m) variates."""
-    return rng.gamma(link.m, 1.0 / link.lambda_tilde, size)
-
-
-def _check_order_stat_args(n_tags: int, t: float) -> None:
-    if n_tags < 1 or int(n_tags) != n_tags:
-        raise ValueError(f"n_tags must be a positive integer, got {n_tags}")
-    if t < 0:
-        raise ValueError(f"order-statistic CDFs require t >= 0, got {t}")
-
-
-def cdf_max_order_stat(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """CDF of the largest of n i.i.d. squared gains."""
-    _check_order_stat_args(n_tags, t)
-    return cdf_gain_sq(link, t) ** n_tags
-
-
-def cdf_max_order_stat_expansion(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """Same maximum CDF through the multinomial expansion used by the closed
-    forms (second evaluation path)."""
-    _check_order_stat_args(n_tags, t)
-    lam = link.lambda_tilde
-    acc = CompensatedSum()
-    for comp in compositions(n_tags, link.m + 1):
-        d = multinomial_delta(n_tags, comp, link.m, lam)
-        acc.add(d.value * t ** d.theta2 * math.exp(-lam * d.theta1 * t))
-    return acc.value
-
-
-def cdf_min_order_stat(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """CDF of the smallest of n i.i.d. squared gains, 1 - (1 - F)^n."""
-    _check_order_stat_args(n_tags, t)
-    f = cdf_gain_sq(link, t)
-    if f >= 1.0:
-        return 1.0
-    return -math.expm1(n_tags * math.log1p(-f))
-
-
-def pdf_min_order_stat(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """Density of the smallest of n i.i.d. squared gains."""
-    if n_tags < 1 or int(n_tags) != n_tags:
-        raise ValueError(f"n_tags must be a positive integer, got {n_tags}")
-    if t <= 0:
-        raise ValueError(f"pdf_min_order_stat requires t > 0, got {t}")
-    sf = reg_upper_inc_gamma(link.m, link.lambda_tilde * t)
-    return n_tags * sf ** (n_tags - 1) * pdf_gain_sq(link, t)
-
-
-def cdf_min_order_stat_expansion(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """Minimum CDF via the binomial-of-powers expansion
-    sum_l C(n,l) (-1)^(l+1) F^l with each F^l expanded multinomially."""
-    _check_order_stat_args(n_tags, t)
-    lam = link.lambda_tilde
-    acc = CompensatedSum()
-    for ell in range(1, n_tags + 1):
-        outer = math.comb(n_tags, ell) * (-1.0) ** (ell + 1)
-        for comp in compositions(ell, link.m + 1):
-            d = multinomial_delta(ell, comp, link.m, lam)
-            acc.add(outer * d.value * t ** d.theta2 * math.exp(-lam * d.theta1 * t))
-    return acc.value
-
-
-def pdf_min_order_stat_expansion(link: NakagamiLink, n_tags: int, t: float) -> float:
-    """Minimum density as the termwise derivative of the expansion; the
-    t^(theta4-1) piece vanishes identically when theta4 == 0."""
-    if t <= 0:
-        raise ValueError(f"pdf_min_order_stat requires t > 0, got {t}")
-    lam = link.lambda_tilde
-    acc = CompensatedSum()
-    for ell in range(1, n_tags + 1):
-        outer = math.comb(n_tags, ell) * (-1.0) ** (ell + 1)
-        for comp in compositions(ell, link.m + 1):
-            d = multinomial_delta(ell, comp, link.m, lam)
-            decay = math.exp(-lam * d.theta1 * t)
-            deriv = -lam * d.theta1 * t ** d.theta2 * decay
-            if d.theta2 > 0:
-                deriv += d.theta2 * t ** (d.theta2 - 1) * decay
-            acc.add(outer * d.value * deriv)
-    return acc.value

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .channel import NakagamiLink
 from .errors import ValidationError
 
-__all__ = ["EhParams", "harvested_power", "optimal_reflection", "phi_threshold"]
+__all__ = ["EhParams", "harvested_power", "optimal_reflection"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class EhParams:
     def __post_init__(self):
         if not self.p_max > 0:
             raise ValidationError(f"p_max must be positive, got {self.p_max}")
-        if self.xi0 < 0:
+        if not self.xi0 >= 0:
             raise ValidationError(f"xi0 must be non-negative, got {self.xi0}")
         if not self.xi1 > 0:
             raise ValidationError(f"xi1 must be positive, got {self.xi1}")
@@ -77,11 +77,6 @@ def harvested_power(eh: EhParams, p_in: float) -> float:
     num = 1.0 - math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi0)
     den = 1.0 + math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi2)
     return max(eh.p_max * num / den, 0.0)
-
-
-def phi_threshold(eh: EhParams) -> float:
-    """Received-power activation threshold (W); harvested_power(eh, phi) == p_c."""
-    return eh.phi
 
 
 def optimal_reflection(eh: EhParams, p_tx: float, link_sk: NakagamiLink,

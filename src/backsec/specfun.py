@@ -9,16 +9,11 @@ against independent quadrature oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 __all__ = [
-    "Composition",
     "CompensatedSum",
-    "DeltaTerm",
     "bessel_k",
     "compositions",
-    "ln_gamma",
     "multinomial_delta",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
@@ -29,13 +24,6 @@ _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAXIT = 500
 _EULER_GAMMA = 0.5772156649015328606
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _lower_series(m: float, x: float) -> float:
@@ -199,57 +187,20 @@ def bessel_k(order: int, x: float) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of non-negative integers with a fixed sum."""
-
-    parts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"composition parts must be non-negative: {self.parts}")
-        if sum(self.parts) != self.total:
-            raise ValueError(f"parts {self.parts} do not sum to {self.total}")
-
-    @classmethod
-    def of(cls, parts) -> "Composition":
-        parts = tuple(int(p) for p in parts)
-        return cls(parts, sum(parts))
-
-
-def _composition_tuples(total: int, parts: int) -> list:
-    # level[t]: every composition of t into k parts in ascending lexicographic
-    # order, for k = 1, 2, ..., parts; first part ascending, then the rest
-    level = [[(t,)] for t in range(total + 1)]
-    for _ in range(parts - 1):
-        level = [[(first,) + rest for first in range(t + 1) for rest in level[t - first]]
-                 for t in range(total + 1)]
-    return level[total]
-
-
-def compositions(total: int, parts: int) -> tuple[Composition, ...]:
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All ordered non-negative integer tuples of length `parts` summing to
     `total`, in ascending lexicographic order (bit-reproducible)."""
     if total < 0:
         raise ValueError(f"total must be non-negative, got {total}")
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    return tuple(_generated(p, total) for p in _composition_tuples(total, parts))
-
-
-def _generated(parts: tuple, total: int) -> Composition:
-    # parts from _composition_tuples are valid by construction, so skip
-    # __post_init__'s checks; a public Composition(...) still runs them
-    comp = object.__new__(Composition)
-    comp.__dict__.update(parts=parts, total=total)
-    return comp
-
-
-class DeltaTerm(NamedTuple):
-    value: float
-    theta1: int
-    theta2: int
+    # level[t]: every composition of t into k parts in ascending lexicographic
+    # order, for k = 1, 2, ..., parts; first part ascending, then the rest
+    level = [[(t,)] for t in range(total + 1)]
+    for _ in range(parts - 1):
+        level = [[(first,) + rest for first in range(t + 1) for rest in level[t - first]]
+                 for t in range(total + 1)]
+    return tuple(level[total])
 
 
 def _lgamma_table(size: int) -> tuple:
@@ -260,9 +211,10 @@ def _lgamma_table(size: int) -> tuple:
 _LGAMMA = _lgamma_table(257)
 
 
-def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: float) -> DeltaTerm:
-    """Coefficient of one term in the multinomial expansion of the order-
-    statistic CDF power (F_{g^2})^n_power.
+def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
+                      lambda_tilde: float) -> tuple[float, int, int]:
+    """(delta, theta1, theta2) of one term in the multinomial expansion of the
+    order-statistic CDF power (F_{g^2})^n_power.
 
     For parts (n_1, ..., n_{m+1}) the expansion term is
     delta * t^theta2 * exp(-lambda_tilde * theta1 * t) with
@@ -277,15 +229,13 @@ def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: flo
     (lgamma(1) == lgamma(2) == 0.0, or a zero part) are skipped, which leaves
     every other step, and so the result, bit for bit as written.
     """
-    if len(comp.parts) != m + 1:
-        raise ValueError(
-            f"composition has {len(comp.parts)} parts, expected m+1 = {m + 1}"
-        )
-    if comp.total != n_power:
-        raise ValueError(f"composition sums to {comp.total}, expected {n_power}")
+    if len(parts) != m + 1:
+        raise ValueError(f"composition has {len(parts)} parts, expected m+1 = {m + 1}")
+    if sum(parts) != n_power or min(parts) < 0:
+        raise ValueError(f"composition {parts} is not {m + 1} non-negative parts "
+                         f"summing to {n_power}")
     if lambda_tilde <= 0.0:
         raise ValueError(f"lambda_tilde must be positive, got {lambda_tilde}")
-    parts = comp.parts
     theta1 = n_power - parts[0]
     theta2 = 0
     for i in range(2, m + 1):
@@ -300,7 +250,7 @@ def multinomial_delta(n_power: int, comp: Composition, m: int, lambda_tilde: flo
         if parts[i]:
             log_mag -= parts[i] * lg[i]
     sign = -1.0 if theta1 % 2 else 1.0
-    return DeltaTerm(sign * math.exp(log_mag), theta1, theta2)
+    return sign * math.exp(log_mag), theta1, theta2
 
 
 class CompensatedSum:

@@ -1,33 +1,9 @@
-"""Link-distribution checks: densities, CDFs, sampling, order statistics.
+"""Link model checks: the Nakagami-m parametrization and its validation."""
 
-Frozen reference values come from mpmath quadrature of the defining
-integrals at 30 significant digits.
-"""
-
-import math
-
-import numpy as np
 import pytest
-from scipy import integrate, stats
 
-from backsec.channel import (
-    NakagamiLink,
-    cdf_gain_sq,
-    cdf_gain_sq_finite_sum,
-    cdf_max_order_stat,
-    cdf_max_order_stat_expansion,
-    cdf_min_order_stat,
-    cdf_min_order_stat_expansion,
-    pdf_gain_sq,
-    pdf_min_order_stat,
-    pdf_min_order_stat_expansion,
-    sample_gain_sq,
-)
+from backsec.channel import NakagamiLink
 from backsec.errors import ValidationError
-
-
-def link_of(m, lam, distance=1.0, u=2.0):
-    return NakagamiLink.from_lambda_tilde(m, lam, distance, u)
 
 
 class TestNakagamiLink:
@@ -36,7 +12,7 @@ class TestNakagamiLink:
         assert link.lambda_tilde * link.omega == pytest.approx(link.m, rel=1e-15)
 
     def test_path_gain(self):
-        link = link_of(1, 1.0, distance=2.0, u=3.0)
+        link = NakagamiLink.from_lambda_tilde(1, 1.0, distance=2.0, pathloss_exp=3.0)
         assert link.path_gain == pytest.approx(0.125)
 
     def test_non_integer_shape_rejected(self):
@@ -50,153 +26,3 @@ class TestNakagamiLink:
             NakagamiLink(m=2, omega=-1.0, distance=1.0, pathloss_exp=2.0)
         with pytest.raises(ValidationError):
             NakagamiLink(m=2, omega=1.0, distance=0.0, pathloss_exp=2.0)
-
-
-class TestPdf:
-    def test_exponential_reduction(self):
-        link = link_of(1, 1.0)
-        for t in [0.1, 1.0, 3.3]:
-            assert pdf_gain_sq(link, t) == pytest.approx(math.exp(-t), rel=1e-14)
-
-    def test_direct_substitution(self):
-        # m=2, lam=2, t=1: 2^2 * 1 * exp(-2) / 1!
-        link = link_of(2, 2.0)
-        assert pdf_gain_sq(link, 1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
-
-    def test_normalization(self):
-        link = link_of(3, 1.7)
-        total, _ = integrate.quad(lambda t: pdf_gain_sq(link, t), 0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pdf_gain_sq(link_of(2, 1.0), 0.0)
-
-
-class TestCdf:
-    def test_at_zero(self):
-        assert cdf_gain_sq(link_of(3, 2.0), 0.0) == 0.0
-
-    def test_rayleigh_reduction(self):
-        link = link_of(1, 1.3)
-        for t in [0.2, 1.0, 4.0]:
-            assert cdf_gain_sq(link, t) == pytest.approx(-math.expm1(-1.3 * t), abs=1e-14)
-
-    def test_frozen_quadrature_value(self):
-        # quadrature of the m=3, lam=1.5 density on [0, 2]
-        assert cdf_gain_sq(link_of(3, 1.5), 2.0) == pytest.approx(
-            0.5768099188731564846756, abs=1e-13)
-
-    def test_finite_sum_dual_route(self):
-        for m in range(1, 7):
-            link = link_of(m, 1.9)
-            for t in [0.0, 0.05, 0.4, 1.5, 6.0, 20.0]:
-                assert cdf_gain_sq_finite_sum(link, t) == pytest.approx(
-                    cdf_gain_sq(link, t), abs=1e-10)
-
-    def test_monotone_bounded(self):
-        link = link_of(4, 0.8)
-        grid = np.linspace(0.0, 30.0, 400)
-        vals = [cdf_gain_sq(link, t) for t in grid]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            cdf_gain_sq(link_of(2, 1.0), -0.1)
-
-
-class TestSampling:
-    def test_mean_matches_omega(self):
-        link = NakagamiLink(m=2, omega=1.7, distance=1.0, pathloss_exp=2.0)
-        rng = np.random.default_rng(123)
-        draws = sample_gain_sq(link, rng, size=1_000_000)
-        se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - link.omega) < 5 * se
-
-    def test_ks_against_cdf(self):
-        link = link_of(3, 2.2)
-        rng = np.random.default_rng(7)
-        draws = sample_gain_sq(link, rng, size=1_000_000)
-        ks = stats.kstest(draws, lambda t: np.vectorize(cdf_gain_sq)(link, t))
-        assert ks.statistic < 0.002
-
-    def test_seed_determinism(self):
-        link = link_of(2, 1.0)
-        a = sample_gain_sq(link, np.random.default_rng(99), size=64)
-        b = sample_gain_sq(link, np.random.default_rng(99), size=64)
-        assert np.array_equal(a, b)
-
-
-class TestMaxOrderStat:
-    def test_single_tag_reduction(self):
-        link = link_of(2, 1.4)
-        for t in [0.3, 1.0, 2.8]:
-            assert cdf_max_order_stat(link, 1, t) == pytest.approx(
-                cdf_gain_sq(link, t), rel=1e-14)
-
-    def test_saturates_to_one(self):
-        assert cdf_max_order_stat(link_of(2, 1.0), 4, 200.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_frozen_oracle_value(self):
-        # (P(2, 3))^3 computed with mpmath
-        assert cdf_max_order_stat(link_of(2, 3.0), 3, 1.0) == pytest.approx(
-            0.5136370566040703973862, abs=1e-13)
-
-    def test_expansion_agrees_with_power(self):
-        for n in [1, 2, 3, 5]:
-            for m in [1, 2, 4]:
-                link = link_of(m, 2.1)
-                for t in [0.1, 0.7, 2.0, 5.0]:
-                    assert cdf_max_order_stat_expansion(link, n, t) == pytest.approx(
-                        cdf_max_order_stat(link, n, t), abs=1e-9)
-
-
-class TestMinOrderStat:
-    def test_single_tag_reduction(self):
-        link = link_of(3, 0.9)
-        for t in [0.2, 1.3, 4.0]:
-            assert cdf_min_order_stat(link, 1, t) == pytest.approx(
-                cdf_gain_sq(link, t), rel=1e-12)
-            assert pdf_min_order_stat(link, 1, t) == pytest.approx(
-                pdf_gain_sq(link, t), rel=1e-12)
-
-    def test_at_zero(self):
-        assert cdf_min_order_stat(link_of(2, 1.0), 4, 0.0) == 0.0
-
-    def test_frozen_oracle_value(self):
-        # 1 - (1 - P(2, 1.5))^4 computed with mpmath
-        assert cdf_min_order_stat(link_of(2, 5.0), 4, 0.3) == pytest.approx(
-            0.9031737430989703740998, abs=1e-13)
-
-    def test_expansion_agrees_with_complement_power(self):
-        for n in [1, 2, 4]:
-            for m in [1, 2, 3]:
-                link = link_of(m, 1.6)
-                for t in [0.05, 0.5, 1.4, 4.0]:
-                    assert cdf_min_order_stat_expansion(link, n, t) == pytest.approx(
-                        cdf_min_order_stat(link, n, t), abs=1e-9)
-
-    def test_pdf_matches_central_difference(self):
-        link = link_of(2, 2.0)
-        h = 1e-6
-        for n in [2, 4]:
-            for t in [0.2, 0.8, 1.9]:
-                num = (cdf_min_order_stat(link, n, t + h)
-                       - cdf_min_order_stat(link, n, t - h)) / (2 * h)
-                assert pdf_min_order_stat(link, n, t) == pytest.approx(num, abs=1e-6)
-                assert pdf_min_order_stat_expansion(link, n, t) == pytest.approx(num, abs=1e-6)
-
-
-class TestEmpiricalOrderStats:
-    @pytest.mark.parametrize("n_tags", [3, 4])
-    def test_max_and_min_match_sampling(self, n_tags):
-        link = link_of(2, 1.9)
-        rng = np.random.default_rng(2024)
-        draws = sample_gain_sq(link, rng, size=(1_000_000, n_tags))
-        ks_max = stats.kstest(
-            draws.max(axis=1), lambda t: np.vectorize(cdf_max_order_stat)(link, n_tags, t))
-        ks_min = stats.kstest(
-            draws.min(axis=1), lambda t: np.vectorize(cdf_min_order_stat)(link, n_tags, t))
-        assert ks_max.statistic < 0.003
-        assert ks_min.statistic < 0.003

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from backsec.channel import NakagamiLink
-from backsec.ehmodel import EhParams, harvested_power, optimal_reflection, phi_threshold
+from backsec.ehmodel import EhParams, harvested_power, optimal_reflection
 from backsec.errors import ValidationError
 
 from conftest import EH_DEFAULT
@@ -32,6 +32,9 @@ class TestEhParams:
     def test_negative_constants_rejected(self):
         with pytest.raises(ValidationError):
             EhParams(p_max=-1e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4, p_c=1e-7)
+        for xi0 in (-5e-6, math.nan):
+            with pytest.raises(ValidationError):
+                EhParams(p_max=200e-6, xi0=xi0, xi1=5000.0, xi2=2e-4, p_c=100e-6)
         with pytest.raises(ValidationError):
             EhParams(p_max=200e-6, xi0=5e-6, xi1=0.0, xi2=2e-4, p_c=100e-6)
 
@@ -69,7 +72,7 @@ class TestPhiThreshold:
             eh = EhParams(p_max=200e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4, p_c=p_c)
             root = optimize.brentq(
                 lambda p: harvested_power(eh, p) - eh.p_c, eh.xi0, 1.0, xtol=1e-18, rtol=1e-15)
-            assert phi_threshold(eh) == pytest.approx(root, rel=1e-9)
+            assert eh.phi == pytest.approx(root, rel=1e-9)
             assert harvested_power(eh, eh.phi) == pytest.approx(eh.p_c, rel=1e-9)
 
     def test_vanishing_circuit_draw_limit(self):
@@ -85,8 +88,8 @@ class TestPhiThreshold:
         eh1 = EhParams(p_max=200e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4, p_c=100e-6)
         eh2 = EhParams(p_max=200e-6, xi0=5e-6, xi1=10000.0, xi2=2e-4, p_c=100e-6)
         expected = math.log(eh2.phi1 / eh2.phi2) / eh2.xi1
-        assert phi_threshold(eh2) == pytest.approx(expected, rel=1e-15)
-        assert phi_threshold(eh2) != pytest.approx(phi_threshold(eh1), rel=1e-3)
+        assert eh2.phi == pytest.approx(expected, rel=1e-15)
+        assert eh2.phi != pytest.approx(eh1.phi, rel=1e-3)
 
 
 class TestOptimalReflection:

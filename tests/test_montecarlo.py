@@ -15,11 +15,14 @@ import pytest
 
 from backsec import analytic
 from backsec._kernels import _TILE_UNIFORMS, _workspace, mix64, resolve_backend
+from backsec.config import apply_axis, loads_config, preset_text
+from backsec.ehmodel import optimal_reflection
 from backsec.errors import ValidationError
 from backsec.montecarlo import (
     McConfig,
     MetricEstimate,
     PROTOCOL_ORDER,
+    _kernel_args,
     estimate_all,
     ip_mc,
     sop_mc,
@@ -179,6 +182,42 @@ def _mixed_m_params(rate):
         base,
         link_d=(link_d, replace(link_d, m=3), link_d, replace(link_d, distance=3.0)),
         link_e=(link_e, replace(link_e, m=1), link_e, link_e))
+
+
+def _fig2_at(gamma_t_db):
+    return apply_axis(loads_config(preset_text("fig2")).base, "gamma_t_db", gamma_t_db)
+
+
+def _per_tag_source_params():
+    """_mixed_m_params with a different source distance on tag 1, so the
+    activation threshold differs across tags too."""
+    p = _mixed_m_params(0.4)
+    link_s = p.links_of("s")[0]
+    return replace(p, link_s=(link_s, replace(link_s, distance=1.5), link_s, link_s))
+
+
+class TestSnrModel:
+    """The kernel's per-tag ratio is (1 + gamma_d) / (1 + gamma_e) with the
+    SNRs of the paper's model, gamma_x = zeta beta* d_s^-u d_x^-u g_s g_x
+    Gamma_t / Gamma_p and beta* the harvester's optimal reflection."""
+
+    @pytest.mark.parametrize("params", [
+        _fig2_at(0.0), _fig2_at(30.0), _fig2_at(60.0), _per_tag_source_params(),
+    ], ids=["fig2-0dB", "fig2-30dB", "fig2-60dB", "heterogeneous"])
+    def test_kernel_ratio_matches_paper_snr(self, params):
+        thr, e1g, e2g = _kernel_args(params)[7:10]
+        links = zip(params.links_of("s"), params.links_of("d"), params.links_of("e"))
+        for k, (ls, ld, le) in enumerate(links):
+            for gs in (1e-3 * thr[k], 0.5 * thr[k], 0.999 * thr[k],
+                       1.001 * thr[k], 2.0 * thr[k], 40.0 * thr[k]):
+                beta = optimal_reflection(params.eh, params.p_tx, ls, gs)
+                assert (beta > 0.0) == (gs > thr[k])
+                for gd, ge in ((0.3, 1.7), (2.2, 0.4), (1e-4, 9.0)):
+                    w1 = max(gs - thr[k], 0.0)
+                    ratio = (1.0 + w1 * gd * e1g[k]) / (1.0 + w1 * ge * e2g[k])
+                    snr = [params.zeta * beta * ls.path_gain * lx.path_gain * gs * gx
+                           * params.gamma_t / params.gamma_p for lx, gx in ((ld, gd), (le, ge))]
+                    assert ratio == pytest.approx((1.0 + snr[0]) / (1.0 + snr[1]), rel=1e-12)
 
 
 class TestTiling:
