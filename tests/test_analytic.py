@@ -21,7 +21,6 @@ from backsec.config import apply_axis
 from backsec.errors import NumericalInstabilityWarning, ValidationError
 from backsec.montecarlo import McConfig, estimate_all
 from backsec.specfun import (
-    CompensatedSum,
     bessel_k,
     compositions,
     multinomial_delta,
@@ -109,71 +108,6 @@ class TestStructuralIdentities:
                 v = analytic.sop_exact(proto, make_params(rate=rate)).value
                 assert v >= prev - 1e-14
                 prev = v
-
-
-def _weakest_of(n, m, lam):
-    """The _Derived of a scenario whose n eavesdropper links have shape m and
-    rate lam; its `_w3_min_rows` expand the weakest-of-n distribution."""
-    d = analytic._Derived(make_params(n_tags=n, m_e=m, lam_e_db=10.0 * math.log10(lam)))
-    assert d.lam_e == pytest.approx(lam, rel=1e-14)
-    return d
-
-
-def _min_cdf_from_rows(d, t):
-    # the rows drop the constant term of each F^ell; with delta = 1 those
-    # terms sum to sum_ell C(n, ell) (-1)^(ell+1) = 1
-    acc = CompensatedSum()
-    acc.add(1.0)
-    pairs, coefs = analytic._w3_min_rows(d)
-    acc.add_all(c * t ** t4 * math.exp(-d.lam_e * t3 * t) for (t3, t4), c in zip(pairs, coefs))
-    return acc.value
-
-
-def _min_pdf_from_rows(d, t):
-    acc = CompensatedSum()
-    pairs, coefs = analytic._w3_min_rows(d)
-    for (t3, t4), c in zip(pairs, coefs):
-        deriv = -d.lam_e * t3 * t ** t4
-        if t4 > 0:
-            deriv += t4 * t ** (t4 - 1)
-        acc.add(c * deriv * math.exp(-d.lam_e * t3 * t))
-    return acc.value
-
-
-class TestExpansionTables:
-    """The multinomial expansions the closed forms sum are the order-statistic
-    distributions they stand for."""
-
-    def test_max_cdf_equals_gamma_power(self):
-        d = analytic._Derived(make_params())
-        for n in [1, 2, 3, 5]:
-            for m in [1, 2, 4]:
-                lam = 2.1
-                for t in [0.1, 0.7, 2.0, 5.0]:
-                    acc = CompensatedSum()
-                    acc.add_all(value * t ** t2 * math.exp(-lam * t1 * t)
-                                for _, (value, t1, t2) in d.expansion(n, m, lam))
-                    assert acc.value == pytest.approx(
-                        reg_lower_inc_gamma(m, lam * t) ** n, abs=1e-9)
-
-    def test_min_cdf_equals_complement_power(self):
-        for n in [1, 2, 4]:
-            for m in [1, 2, 3]:
-                d = _weakest_of(n, m, 1.6)
-                for t in [0.05, 0.5, 1.4, 4.0]:
-                    f = reg_lower_inc_gamma(m, d.lam_e * t)
-                    assert _min_cdf_from_rows(d, t) == pytest.approx(
-                        1.0 - (1.0 - f) ** n, abs=1e-9)
-
-    def test_min_pdf_matches_central_difference(self):
-        h = 1e-6
-        for n in [2, 4]:
-            d = _weakest_of(n, 2, 2.0)
-            for t in [0.2, 0.8, 1.9]:
-                cdf = [1.0 - (1.0 - reg_lower_inc_gamma(2, d.lam_e * x)) ** n
-                       for x in (t + h, t - h)]
-                num = (cdf[0] - cdf[1]) / (2 * h)
-                assert _min_pdf_from_rows(d, t) == pytest.approx(num, abs=1e-6)
 
 
 class TestQuadratureOracle:
