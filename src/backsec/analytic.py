@@ -35,7 +35,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import NumericalInstabilityWarning
 from .specfun import (
@@ -87,17 +87,16 @@ class ClosedFormReport:
 
 
 class _Derived:
-    """Scalars of one SystemParams object (see `_derived`) and the pure values
-    all its closed forms share (expansion tables and their term labels, Bessel
-    order tables, W1 tails, W3 moments, the weakest-eavesdropper expansion
-    rows and whole sums with their breakdown terms), never a verdict.  Each
-    value is published complete, in one store, and never changed after (a
-    longer Bessel table replaces a shorter one whole), so threads racing on
-    one object build and read equal values."""
+    """Scalars of one SystemParams object (see `_derived`) and one store,
+    `memo`, of the pure values all its closed forms share: expansion tables
+    and their labels, one Bessel order table per theta1, W1 tails, W3 moments,
+    the weakest-eavesdropper rows and whole sums with their breakdown terms,
+    never a verdict.  Keys start with the kind of value.  Each value is built
+    on first use, published complete with one setdefault and never changed
+    after, so threads racing on one object build and read equal values."""
 
     __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e", "a", "eta1", "eta2",
-                 "tau", "c", "n", "cap_a", "cap_b", "tables", "labels", "bessel",
-                 "w1_tails", "moments", "min_rows", "min_sums", "sums")
+                 "tau", "c", "n", "cap_a", "cap_b", "_memo")
 
     def __init__(self, params: SystemParams):
         params.require_homogeneous()
@@ -115,44 +114,25 @@ class _Derived:
         self.n = params.n_tags
         self.cap_a = (self.tau - 1.0) / (self.eta1 * params.gamma_t)
         self.cap_b = self.tau * self.c
-        self.tables = {}
-        self.labels = {}
-        self.bessel = {}
-        self.w1_tails = {}
-        self.moments = {}
-        self.min_rows = None
-        self.min_sums = {}
-        self.sums = {}
+        self._memo = {}
+
+    def memo(self, key: tuple, build: Callable[[], object]):
+        """The value stored under key; build() makes it on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, build())
+        return value
 
     def expansion(self, n_power: int, m: int, lam: float) -> tuple:
         """(parts, (delta, theta1, theta2)) for every term of the multinomial
-        expansion of (F_{g^2})^n_power, in `compositions` order; built once
-        per scenario."""
-        key = (n_power, m, lam)
-        if key not in self.tables:
-            self.tables.setdefault(key, tuple((c, multinomial_delta(n_power, c, m, lam))
-                                              for c in compositions(n_power, m + 1)))
-        return self.tables[key]
+        expansion of (F_{g^2})^n_power, in `compositions` order."""
+        return self.memo(("expansion", n_power, m, lam), lambda: tuple(
+            (c, multinomial_delta(n_power, c, m, lam)) for c in compositions(n_power, m + 1)))
 
     def term_labels(self, n_power: int, m: int, lam: float) -> tuple:
         """The breakdown label f"comp{parts}" of each term of `expansion`."""
-        key = (n_power, m, lam)
-        if key not in self.labels:
-            self.labels.setdefault(key, tuple(f"comp{parts}" for parts, _
-                                              in self.expansion(n_power, m, lam)))
-        return self.labels[key]
-
-    def bessel_orders(self, x: float, order: int) -> tuple:
-        """K_0(x), ..., K_n(x) for some n >= order, bit for bit equal to
-        `bessel_k(n, x)`: its K0/K1 base and its own upward recurrence.  A
-        longer table replaces a shorter one whole."""
-        table = self.bessel.get(x)
-        if table is None or len(table) <= order:
-            ks = list(table or (bessel_k(0, x), bessel_k(1, x)))
-            for j in range(len(ks) - 1, order):
-                ks.append(ks[j - 1] + (2.0 * j / x) * ks[j])
-            table = self.bessel[x] = tuple(ks)
-        return table
+        return self.memo(("labels", n_power, m, lam), lambda: tuple(
+            f"comp{parts}" for parts, _ in self.expansion(n_power, m, lam)))
 
 
 def _derived(params: SystemParams) -> _Derived:
@@ -177,6 +157,22 @@ def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> flo
     return acc.value
 
 
+def _checked_sum(d: _Derived, key: tuple, label: str, pairs: Callable[[], Iterable],
+                 threshold: Optional[float], breakdown: dict) -> float:
+    """The Neumaier sum of the (label, term) pairs that pairs() yields, built
+    once per key; every use copies the pairs into breakdown and checks the sum
+    against threshold."""
+    def build():
+        built = tuple(pairs())
+        acc = CompensatedSum()
+        acc.add_all([term for _, term in built])
+        return acc, built
+
+    acc, built = d.memo(key, build)
+    breakdown.update(built)
+    return _checked(acc, label, threshold)
+
+
 def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
     """int_0^inf v^(alpha-1) exp(-p v - q/v) dv for integer alpha; equals
     2 (q/p)^(alpha/2) K_alpha(2 sqrt(pq)), with K_alpha = K_|alpha| taken from
@@ -188,23 +184,37 @@ def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> fl
     return 2.0 * (q / p) ** (alpha / 2.0) * k_orders[abs(alpha)]
 
 
-def _w1_tail_integral(d: _Derived, q_coef: float, k: int) -> float:
-    """int_a^inf (w - a)^k exp(-q_coef / (w - a)) f_{g_s^2}(w) dw.
+def _bessel_table(d: _Derived, t1: int, x: float) -> tuple:
+    """K_0(x), ..., K_n(x), bit for bit equal to `bessel_k(n, x)`: its K0/K1
+    base and its own upward recurrence.  The W1 tails of theta1 = t1 have
+    k >= -theta2 >= -(md-1) t1, so n = max((md-1) t1 - 1, ms) is the highest
+    order any of them asks for."""
+    ks = [bessel_k(0, x), bessel_k(1, x)]
+    for j in range(1, max((d.md - 1) * t1 - 1, d.ms)):
+        ks.append(ks[j - 1] + (2.0 * j / x) * ks[j])
+    return tuple(ks)
+
+
+def _w1_tail_integral(d: _Derived, t1: int, k: int) -> float:
+    """int_a^inf (w - a)^k exp(-q_coef / (w - a)) f_{g_s^2}(w) dw with
+    q_coef = lam_d t1 A.
 
     Binomial-expands (v + a)^(ms-1) around the shifted variable v = w - a,
     leaving one Bessel-type integral per power of v, of orders k+1 .. k+ms."""
-    if (q_coef, k) in d.w1_tails:
-        return d.w1_tails[q_coef, k]
-    k_orders = None
-    if q_coef != 0.0:
-        k_orders = d.bessel_orders(2.0 * math.sqrt(d.lam_s * q_coef),
-                                   max(abs(k + 1), abs(k + d.ms)))
-    pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
-    total = 0.0
-    for p in range(d.ms):
-        total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
-                  * _g_integral(p + k + 1, d.lam_s, q_coef, k_orders))
-    return d.w1_tails.setdefault((q_coef, k), pref * total)
+    def build():
+        q_coef = d.lam_d * t1 * d.cap_a
+        k_orders = None
+        if q_coef != 0.0:
+            k_orders = d.memo(("bessel", t1), lambda: _bessel_table(
+                d, t1, 2.0 * math.sqrt(d.lam_s * q_coef)))
+        pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
+        total = 0.0
+        for p in range(d.ms):
+            total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
+                      * _g_integral(p + k + 1, d.lam_s, q_coef, k_orders))
+        return pref * total
+
+    return d.memo(("w1_tail", t1, k), build)
 
 
 def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
@@ -214,9 +224,8 @@ def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
                     - (d.me + q) * math.log(d.lam_e + rate_shift))
 
 
-def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
-                    threshold: Optional[float]) -> list:
-    """The moments q = 0..count-1 against the minimum-order-statistic density
+def _w3_min_moments(d: _Derived, rate_shift: float, threshold: Optional[float]) -> list:
+    """The moments q = 0..md-1 against the minimum-order-statistic density
     of the eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
 
     Termwise, d/dt [t^t4 e^{-lam t3 t}] = (t4 t^(t4-1) - lam t3 t^t4) e^{...},
@@ -225,13 +234,12 @@ def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
     with s = lam_e t3 + rate_shift (the t4 part vanishes when t4 == 0).
     That factor depends on (t3, t4) alone, so it is evaluated once per pair;
     each q-sum adds (outer delta) * factor over the rows of `_w3_min_rows`."""
-    key = (count, rate_shift)
-    if key not in d.min_sums:
+    def build():
         pairs, coefs = _w3_min_rows(d)
-        factors = [{} for _ in range(count)]  # per q: (t3, t4) -> factor
+        factors = [{} for _ in range(d.md)]  # per q: (t3, t4) -> factor
         for t3, t4 in dict.fromkeys(pairs):
             log_s = math.log(d.lam_e * t3 + rate_shift)
-            for q in range(count):
+            for q in range(d.md):
                 term = -d.lam_e * t3 * math.exp(math.lgamma(q + t4 + 1)
                                                 - (q + t4 + 1) * log_s)
                 if t4 > 0:
@@ -242,9 +250,10 @@ def _w3_min_moments(d: _Derived, count: int, rate_shift: float,
             acc = CompensatedSum()
             acc.add_all(map(operator.mul, coefs, map(factor.__getitem__, pairs)))
             accs.append(acc)
-        d.min_sums.setdefault(key, accs)
+        return accs
+
     return [_checked(acc, "weakest-eavesdropper moment", threshold)
-            for acc in d.min_sums[key]]
+            for acc in d.memo(("min_moments", rate_shift), build)]
 
 
 def _w3_min_rows(d: _Derived) -> tuple:
@@ -252,7 +261,7 @@ def _w3_min_rows(d: _Derived) -> tuple:
     shift: the (t3, t4) of each term and its coefficient outer * delta, where
     outer = C(n, ell) (-1)^(ell+1), in table order and without the t3 == 0
     terms (the constant term of F^ell has zero derivative)."""
-    if d.min_rows is None:
+    def build():
         pairs, coefs = [], []
         for ell in range(1, d.n + 1):
             outer = math.comb(d.n, ell) * (-1.0) ** (ell + 1)
@@ -260,19 +269,18 @@ def _w3_min_rows(d: _Derived) -> tuple:
                 if t3 != 0:
                     pairs.append((t3, t4))
                     coefs.append(outer * value)
-        d.min_rows = (tuple(pairs), tuple(coefs))
-    return d.min_rows
+        return tuple(pairs), tuple(coefs)
+
+    return d.memo(("min_rows",), build)
 
 
 def _w3_moments(d: _Derived, rate_shift: float, threshold: Optional[float],
                 minimum_stat: bool) -> Sequence[float]:
     """W3 moments q = 0..md-1; against the weakest of n if minimum_stat."""
     if minimum_stat:
-        return _w3_min_moments(d, d.md, rate_shift, threshold)
-    if rate_shift not in d.moments:
-        d.moments.setdefault(rate_shift, tuple(_w3_moment(d, q, rate_shift)
-                                               for q in range(d.md)))
-    return d.moments[rate_shift]
+        return _w3_min_moments(d, rate_shift, threshold)
+    return d.memo(("moments", rate_shift), lambda: tuple(
+        _w3_moment(d, q, rate_shift) for q in range(d.md)))
 
 
 def p1(params: SystemParams) -> float:
@@ -282,31 +290,19 @@ def p1(params: SystemParams) -> float:
     return reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
 
 
-def _p1_parts(d: _Derived) -> tuple[float, float]:
-    x = d.lam_s * d.a
-    return reg_lower_inc_gamma(d.ms, x), reg_upper_inc_gamma(d.ms, x)
-
-
-def _cmp_max(d: _Derived, x: float, threshold: Optional[float],
-             breakdown: Optional[dict] = None) -> float:
-    """P(max of n destination gains < x * W3); the sum and its terms are
-    built once per x and checked on every use."""
-    key = ("max", x)
-    if key not in d.sums:
-        terms, w3 = [], {}
-        for _, (value, t1, t2) in d.expansion(d.n, d.md, d.lam_d):
+def _cmp_max(d: _Derived, x: float, threshold: Optional[float], breakdown: dict) -> float:
+    """P(max of n destination gains < x * W3), one term per composition."""
+    def pairs():
+        w3 = {}
+        labels = d.term_labels(d.n, d.md, d.lam_d)
+        for label, (_, (value, t1, t2)) in zip(labels, d.expansion(d.n, d.md, d.lam_d)):
             if (t1, t2) not in w3:
                 w3[t1, t2] = (x ** t2, _w3_moment(d, t2, d.lam_d * t1 * x))
             x_pow, moment = w3[t1, t2]
-            terms.append(value * x_pow * moment)
-        acc = CompensatedSum()
-        acc.add_all(terms)
-        labels = d.term_labels(d.n, d.md, d.lam_d)
-        d.sums.setdefault(key, (acc, tuple(zip(labels, terms))))
-    acc, terms = d.sums[key]
-    if breakdown is not None:
-        breakdown.update(terms)
-    return _checked(acc, "best-destination comparison", threshold)
+            yield label, value * x_pow * moment
+
+    return _checked_sum(d, ("max", x), "best-destination comparison", pairs,
+                        threshold, breakdown)
 
 
 def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
@@ -328,38 +324,32 @@ def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
 def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
     """One term per composition; its inner q-sum depends on the composition
     only through (theta1, theta2), so each such sum is evaluated once."""
-    if "sots_p2" not in d.sums:
-        terms, inners, w3 = [], {}, {}
-        for _, (value, t1, t2) in d.expansion(d.n, d.md, d.lam_d):
+    def pairs():
+        inners, w3 = {}, {}
+        labels = d.term_labels(d.n, d.md, d.lam_d)
+        for label, (_, (value, t1, t2)) in zip(labels, d.expansion(d.n, d.md, d.lam_d)):
             if (t1, t2) not in inners:
-                q_coef = d.lam_d * t1 * d.cap_a
                 inner = 0.0
                 for q in range(t2 + 1):
                     if (t1, q) not in w3:
                         w3[t1, q] = _w3_moment(d, q, d.lam_d * t1 * d.cap_b)
                     inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
-                              * _w1_tail_integral(d, q_coef, q - t2) * w3[t1, q])
+                              * _w1_tail_integral(d, t1, q - t2) * w3[t1, q])
                 inners[t1, t2] = inner
-            terms.append(value * inners[t1, t2])
-        acc = CompensatedSum()
-        acc.add_all(terms)
-        labels = ["p2." + label for label in d.term_labels(d.n, d.md, d.lam_d)]
-        d.sums.setdefault("sots_p2", (acc, tuple(zip(labels, terms))))
-    acc, terms = d.sums["sots_p2"]
-    breakdown.update(terms)
-    return _checked(acc, "best-destination outage tail", threshold)
+            yield "p2." + label, value * inners[t1, t2]
+
+    return _checked_sum(d, ("sots_p2",), "best-destination outage tail", pairs,
+                        threshold, breakdown)
 
 
-def _single_tail(d: _Derived, threshold: Optional[float],
-                 breakdown: Optional[dict] = None, minimum_stat: bool = False) -> float:
+def _single_tail(d: _Derived, threshold: Optional[float], breakdown: dict,
+                 minimum_stat: bool = False) -> float:
     """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
     # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
     w3 = _w3_moments(d, d.lam_d * d.cap_b, threshold, minimum_stat)
-    key = ("tail", minimum_stat)
-    if key not in d.sums:
-        q_coef = d.lam_d * d.cap_a
-        terms = []
+
+    def pairs():
         fact = 1.0
         for j in range(d.md):
             if j > 0:
@@ -367,22 +357,17 @@ def _single_tail(d: _Derived, threshold: Optional[float],
             inner = 0.0
             for q in range(j + 1):
                 inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
-                          * _w1_tail_integral(d, q_coef, q - j) * w3[q])
-            terms.append((d.lam_d ** j / fact) * inner)
-        total = CompensatedSum()
-        total.add_all(terms)
-        d.sums.setdefault(key, (total, tuple((f"tail.j={j}", term)
-                                             for j, term in enumerate(terms))))
-    total, terms = d.sums[key]
-    if breakdown is not None:
-        breakdown.update(terms)
-    return _checked(total, "survival tail", threshold)
+                          * _w1_tail_integral(d, 1, q - j) * w3[q])
+            yield f"tail.j={j}", (d.lam_d ** j / fact) * inner
+
+    return _checked_sum(d, ("tail", minimum_stat), "survival tail", pairs,
+                        threshold, breakdown)
 
 
 def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
                      threshold: Optional[float]) -> tuple[float, dict]:
     d = _derived(params)
-    p1_val, _ = _p1_parts(d)
+    p1_val = reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
     breakdown: dict = {"p1": p1_val}
 
     if params.rate_threshold == 0.0:
@@ -390,6 +375,10 @@ def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
         # the dead-tag event remains.
         breakdown["p2"] = 0.0
         return p1_val, breakdown
+    if d.tau == 1.0:
+        # 0 < R but 2^R rounds to 1, so A = 0: the outage event is the
+        # intercept event
+        return _build_exact_ip(protocol, params, threshold)
 
     if protocol is ProtocolKind.SOTS:
         p2 = _sots_p2(d, threshold, breakdown)
@@ -417,7 +406,8 @@ def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
 def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
                     threshold: Optional[float]) -> tuple[float, dict]:
     d = _derived(params)
-    p1_val, survive = _p1_parts(d)
+    x = d.lam_s * d.a
+    p1_val, survive = reg_lower_inc_gamma(d.ms, x), reg_upper_inc_gamma(d.ms, x)
     breakdown: dict = {"p1": p1_val}
 
     if protocol is ProtocolKind.SOTS:

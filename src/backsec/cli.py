@@ -52,7 +52,13 @@ def run_sweep(spec: SweepSpec) -> str:
 
 
 def _load_spec(args) -> SweepSpec:
-    if getattr(args, "preset", None):
+    if getattr(args, "point", None):
+        bad = [tok for tok in args.point if "=" not in tok]
+        if bad:
+            raise ValidationError(f"oracle point entries must look like key=value, got {bad}")
+        spec = loads_config("\n".join(" = ".join(part.strip() for part in tok.split("=", 1))
+                                      for tok in args.point))
+    elif getattr(args, "preset", None):
         spec = loads_config(preset_text(args.preset))
     elif args.config:
         spec = load_config(args.config)
@@ -74,16 +80,22 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_sweep(args) -> int:
-    spec = _load_spec(args)
+def _run_flagged(compute, emit) -> int:
+    """emit(compute()); then one stderr line per NumericalInstabilityWarning
+    that compute raised, and exit code 3 if there was any, else 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NumericalInstabilityWarning)
-        csv_doc = run_sweep(spec)
-    _write(csv_doc, args.out)
+        result = compute()
+    emit(result)
     flagged = [w for w in caught if issubclass(w.category, NumericalInstabilityWarning)]
     for w in flagged:
         print(f"instability: {w.message}", file=sys.stderr)
     return 3 if flagged else 0
+
+
+def _cmd_sweep(args) -> int:
+    spec = _load_spec(args)
+    return _run_flagged(lambda: run_sweep(spec), lambda csv_doc: _write(csv_doc, args.out))
 
 
 def _cmd_validate(args) -> int:
@@ -93,41 +105,25 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    lines = [f"{tok.split('=', 1)[0].strip()} = {tok.split('=', 1)[1].strip()}"
-             for tok in args.point if "=" in tok]
-    bad = [tok for tok in args.point if "=" not in tok]
-    if bad:
-        raise ValidationError(f"oracle point entries must look like key=value, got {bad}")
-    spec = loads_config("\n".join(lines))
-    mc = spec.mc
-    if args.seed is not None:
-        mc = replace(mc, seed=args.seed)
-    if args.trials is not None:
-        mc = replace(mc, trials=args.trials)
-    params = spec.base
+    spec = _load_spec(args)
+    params, mc = spec.base, spec.mc
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NumericalInstabilityWarning)
+    def compute():
         estimates = estimate_all(params, mc)
-        rows = []
-        for metric in ("sop", "ip"):
-            for proto in PROTOCOL_ORDER:
-                est = estimates[(proto, metric)]
-                rows.append((
-                    metric, proto.value,
-                    _EXACT[metric](proto, params).value,
-                    _ASYMPTOTIC[metric](proto, params).value,
-                    est.p_hat, est.stderr,
-                ))
-    print(f"{'metric':6s} {'protocol':8s} {'exact':>12s} {'asymptotic':>12s} "
-          f"{'mc':>12s} {'mc_stderr':>12s}")
-    for metric, proto, ex, asym, mc_v, se in rows:
-        print(f"{metric:6s} {proto:8s} {ex:12.6g} {asym:12.6g} {mc_v:12.6g} {se:12.3g}")
-    print(f"(mc trials = {mc.trials}, seed = {mc.seed})")
-    flagged = [w for w in caught if issubclass(w.category, NumericalInstabilityWarning)]
-    for w in flagged:
-        print(f"instability: {w.message}", file=sys.stderr)
-    return 3 if flagged else 0
+        return [(metric, proto.value,
+                 _EXACT[metric](proto, params).value,
+                 _ASYMPTOTIC[metric](proto, params).value,
+                 estimates[(proto, metric)].p_hat, estimates[(proto, metric)].stderr)
+                for metric in ("sop", "ip") for proto in PROTOCOL_ORDER]
+
+    def emit(rows):
+        print(f"{'metric':6s} {'protocol':8s} {'exact':>12s} {'asymptotic':>12s} "
+              f"{'mc':>12s} {'mc_stderr':>12s}")
+        for metric, proto, ex, asym, mc_v, se in rows:
+            print(f"{metric:6s} {proto:8s} {ex:12.6g} {asym:12.6g} {mc_v:12.6g} {se:12.3g}")
+        print(f"(mc trials = {mc.trials}, seed = {mc.seed})")
+
+    return _run_flagged(compute, emit)
 
 
 def _build_parser() -> argparse.ArgumentParser:

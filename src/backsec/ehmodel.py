@@ -72,7 +72,7 @@ class EhParams:
 def harvested_power(eh: EhParams, p_in: float) -> float:
     """Harvested output for input power p_in (W); sigmoid-saturating model,
     clamped at zero below the sensitivity threshold."""
-    if p_in < 0:
+    if not p_in >= 0:
         raise ValueError(f"input power must be non-negative, got {p_in}")
     num = 1.0 - math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi0)
     den = 1.0 + math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi2)

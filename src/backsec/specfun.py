@@ -64,9 +64,9 @@ def _upper_contfrac(m: float, x: float) -> float:
 
 
 def _check_inc_gamma_args(m: float, x: float) -> None:
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError(f"shape must be positive, got {m}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
 
 
@@ -170,7 +170,7 @@ def bessel_k(order: int, x: float) -> float:
     (stable) upward recurrence K_{n+1} = K_{n-1} + (2n/x) K_n for higher
     orders.  K_{-n} == K_n by construction.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     n = int(order)
     if n != order:
@@ -234,7 +234,7 @@ def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
     if sum(parts) != n_power or min(parts) < 0:
         raise ValueError(f"composition {parts} is not {m + 1} non-negative parts "
                          f"summing to {n_power}")
-    if lambda_tilde <= 0.0:
+    if not lambda_tilde > 0.0:
         raise ValueError(f"lambda_tilde must be positive, got {lambda_tilde}")
     theta1 = n_power - parts[0]
     theta2 = 0

@@ -75,6 +75,18 @@ class TestStructuralIdentities:
             assert abs(rep.value - p1v) <= 1e-12
             assert rep.term_breakdown["p2"] == 0.0
 
+    def test_rate_below_float_resolution_gives_intercept(self):
+        # 0 < R with 2^R == 1.0: the outage event is the intercept event
+        tiny = make_params(rate=1e-17)
+        assert tiny.tau == 1.0
+        for proto in ALL:
+            sop = analytic.sop_exact(proto, tiny).raw_value
+            assert sop == analytic.ip_exact(proto, tiny).raw_value
+            assert sop != analytic.p1(tiny)
+        zero = make_params(rate=0.0)
+        for proto in ALL:
+            assert analytic.sop_exact(proto, zero).raw_value == analytic.p1(zero)
+
     def test_all_protocols_coincide_single_tag(self):
         p = make_params(n_tags=1, gamma_t_db=15.0)
         sops = [analytic.sop_exact(proto, p).value for proto in ALL]
@@ -347,6 +359,73 @@ FROZEN_RAW = {
 }
 
 
+# The same, with its own fading shape on each link: (N, m_s, m_d, m_e).  The
+# exact SOP's Bessel tables are sized by m_s against (m_d - 1) theta1, which
+# one m on all links never separates.
+FROZEN_MIXED = {
+    (3, 1, 6, 2): {
+        "sop_exact": ('0.0015689448498498314', '0.0020937238468347052',
+                      '1.4892437177406528e-08', '0.0024603029777209295'),
+        "sop_asymptotic": ('8.912763787899442e-08', '3.1603096447563317e-06',
+                           '1.0276051585446332e-11', '0.0002174079521396477'),
+        "ip_exact": ('0.0004950370429633868', '0.0004955015445131396',
+                     '1.527574959337649e-10', '0.000534565397693881'),
+        "ip_asymptotic": ('1.5136684201592052e-09', '4.6624527683114536e-07',
+                          '6.186160935032546e-14', '3.954944603057342e-05'),
+    },
+    (3, 6, 1, 3): {
+        "sop_exact": ('0.13768721566826464', '0.30236001947105384',
+                      '0.09373862014282401', '0.45426176651064387'),
+        "sop_asymptotic": ('0.13723344317947522', '0.3013084884788041',
+                           '0.09323031785140104', '0.4534391922858487'),
+        "ip_exact": ('0.07185661995673864', '0.22655822187595376',
+                     '0.044959293017298264', '0.35558204594879605'),
+        "ip_asymptotic": ('0.07185661995673864', '0.22655822187595376',
+                          '0.044959293017298264', '0.35558204594879605'),
+    },
+    (3, 4, 4, 1): {
+        "sop_exact": ('2.4165113505073485e-06', '2.3742879731281086e-05',
+                      '1.4019146292298321e-09', '0.0011191986799111708'),
+        "sop_asymptotic": ('2.3893847207243775e-06', '2.2947598538824998e-05',
+                           '1.35523317398132e-09', '0.0011066356955080625'),
+        "ip_exact": ('1.4089004945668864e-07', '6.226656757929627e-06',
+                     '4.092141391672855e-11', '0.0003446012726519614'),
+        "ip_asymptotic": ('1.4089004695293144e-07', '6.226656755425886e-06',
+                          '4.0921413915836894e-11', '0.0003446012726494585'),
+    },
+    (7, 1, 6, 2): {
+        "sop_exact": ('0.0013572645288508667', '0.002050510038871356',
+                      '5.456575211226039e-19', '0.0024603029777209295'),
+        "sop_asymptotic": ('5.7401871840084964e-11', '1.270349053728026e-07',
+                           '2.29576788709689e-26', '0.0002174079521396477'),
+        "ip_exact": ('0.0004950355300912851', '0.0004950529018339427',
+                     '1.2474004740978255e-23', '0.000534565397693881'),
+        "ip_asymptotic": ('4.7022152426433986e-14', '1.7380393568799946e-08',
+                          '1.5135014207362949e-31', '3.954944603057342e-05'),
+    },
+    (7, 6, 1, 3): {
+        "sop_exact": ('0.027148099786484227', '0.2196219519444711',
+                      '0.003991565847170488', '0.45426176651064387'),
+        "sop_asymptotic": ('0.027030410637352044', '0.21844571244257271',
+                           '0.003941244563492022', '0.4534391922858487'),
+        "ip_exact": ('0.007724295112106677', '0.16107945530451784',
+                     '0.0007187515117691289', '0.35558204594879605'),
+        "ip_asymptotic": ('0.007724295112106677', '0.16107945530451784',
+                          '0.0007187515117691289', '0.35558204594879605'),
+    },
+    (7, 4, 4, 1): {
+        "sop_exact": ('6.663826083662946e-09', '9.861093046570346e-07',
+                      '2.1996334968084427e-21', '0.0011191986799111708'),
+        "sop_asymptotic": ('6.5886434304419646e-09', '9.097681996639295e-07',
+                           '2.032510147757279e-21', '0.0011066356955080625'),
+        "ip_exact": ('4.953196423014644e-11', '2.358606313092968e-07',
+                     '5.770562366337425e-25', '0.0003446012726519614'),
+        "ip_asymptotic": ('4.952946047256452e-11', '2.3586062880553982e-07',
+                          '5.770562366044039e-25', '0.0003446012726494585'),
+    },
+}
+
+
 def _evaluate_all(params):
     """{(form, protocol): report} for the 16 closed forms; instability warnings
     (the (16, 3) SOTS IP sum trips one) are silenced."""
@@ -371,6 +450,13 @@ class TestBitIdentity:
         assert [k for k in sop_terms if k.startswith("p2.comp")] == ["p2." + k for k in order]
         assert [k for k in ip_terms if k.startswith("comp")] == order
 
+    @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(FROZEN_MIXED))
+    def test_mixed_shape_raw_values_frozen(self, n, m_s, m_d, m_e):
+        reports = _evaluate_all(make_params(n_tags=n, m_s=m_s, m_d=m_d, m_e=m_e))
+        for form in FORMS:
+            got = tuple(repr(reports[form, proto].raw_value) for proto in ProtocolKind)
+            assert got == FROZEN_MIXED[n, m_s, m_d, m_e][form], form
+
     @pytest.mark.parametrize("n, m, lam", [(0, 1, 1.3), (0, 3, 2.0), (1, 1, 0.7),
                                            (5, 1, 2.7), (3, 2, 1.5), (8, 4, 1.995),
                                            (16, 3, 0.4), (6, 6, 3.1)])
@@ -381,15 +467,13 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("x", [1e-3, 0.17, 1.3, 2.0, 2.0000001, 3.7, 25.0])
     def test_bessel_order_table_equals_bessel_k(self, x):
-        # x <= 2 takes bessel_k's ascending series, x > 2 its continued fraction
-        d = analytic._Derived(make_params())
-        short = d.bessel_orders(x, 2)
-        table = d.bessel_orders(x, 40)
-        assert len(short) == 3 and table[:3] == short  # grown from the short one
-        cold = analytic._Derived(make_params()).bessel_orders(x, 40)
+        # x <= 2 takes bessel_k's ascending series, x > 2 its continued fraction;
+        # at m_d = 2 the table of theta1 = 41 runs to order (2 - 1) * 41 - 1 = 40
+        d = analytic._Derived(make_params(m=2))
+        table = analytic._bessel_table(d, 41, x)
+        assert len(table) == 41
         for n in range(-40, 41):
-            assert table[abs(n)] == cold[abs(n)] == bessel_k(n, x), n
-        assert d.bessel_orders(x, 7) is table  # a long enough table is reused
+            assert table[abs(n)] == bessel_k(n, x), n
 
     def test_expansion_table_built_once_per_evaluation(self):
         params = make_params(n_tags=8, m=4)
@@ -520,7 +604,7 @@ class TestSharedDerivedTerms:
         assert "_derived" not in repr(params) and "_derived" not in field_names
 
     def test_threads_racing_on_one_object_get_the_cold_values(self):
-        # at (8, 4) the Bessel order tables grow past order 2 while threads race
+        # at (8, 4) the threads race on Bessel order tables past order 2
         for n, m in ((4, 3), (8, 4)):
             params = make_params(n_tags=n, m=m)
             cold = {key: repr(getattr(analytic, key[0])(key[1], replace(params)).raw_value)
@@ -544,4 +628,5 @@ class TestSharedDerivedTerms:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
             assert results == [cold] * len(threads)
-        assert max(map(len, analytic._derived(params).bessel.values())) > 3
+        store = analytic._derived(params)._memo
+        assert max(len(v) for k, v in store.items() if k[0] == "bessel") > 3

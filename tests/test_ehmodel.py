@@ -60,6 +60,11 @@ class TestHarvestedPower:
         vals = [harvested_power(EH_DEFAULT, p) for p in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p_in", [-1e-6, math.nan])
+    def test_invalid_input_power_rejected(self, p_in):
+        with pytest.raises(ValueError):
+            harvested_power(EH_DEFAULT, p_in)
+
     def test_frozen_oracle_value(self):
         # direct evaluation at 30 digits with mpmath: 1.292805775853544e-05 W
         assert harvested_power(EH_DEFAULT, 50e-6) == pytest.approx(

@@ -25,6 +25,23 @@ from backsec.specfun import (
 )
 
 
+@pytest.mark.parametrize("call", [
+    lambda: reg_lower_inc_gamma(2.0, math.nan),
+    lambda: reg_upper_inc_gamma(2.0, math.nan),
+    lambda: reg_lower_inc_gamma(math.nan, 1.0),
+    lambda: reg_upper_inc_gamma(math.nan, 1.0),
+    lambda: upper_inc_gamma(2.0, math.nan),
+    lambda: bessel_k(1, math.nan),
+    lambda: multinomial_delta(2, (0, 1, 1), 2, math.nan),
+], ids=["lower-x", "upper-x", "lower-m", "upper-m", "unnormalized-x", "bessel-x",
+        "delta-lambda"])
+def test_nan_argument_rejected(call):
+    # a NaN fails every comparison, so each domain check must be written to
+    # fail on it rather than to pass it on to a series that cannot converge
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestRegLowerIncGamma:
     def test_at_zero(self):
         assert reg_lower_inc_gamma(3.0, 0.0) == 0.0

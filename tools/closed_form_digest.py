@@ -1,11 +1,11 @@
-"""Digest of every closed-form result over a fixed set of 18,752 evaluations.
+"""Digests of every closed-form result over two fixed sets of evaluations.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/closed_form_digest.py
 
-The set is the 16 closed forms (SOP and IP, exact and asymptotic, four
-selection rules) at each of 1172 parameter points:
+The main set is the 16 closed forms (SOP and IP, exact and asymptotic, four
+selection rules) at each of 1172 parameter points, 18,752 evaluations:
 
 - the 900 scenarios of the ``oracle_mixed`` benchmark workload at seeds 1, 7
   and 11 (read from ``perfbench/workloads.py``, which is only imported);
@@ -14,6 +14,14 @@ selection rules) at each of 1172 parameter points:
   gamma_t 0, 30 and 60 dB;
 - an extreme grid on the fig2 base: N 2/4/8, m 1..3, gamma_t -20/40/100 dB,
   d_d and d_e 0.5/50, R 0.1/3 (216 points).
+
+Every link has one shape m in that set.  The mixed-shape set, printed on its
+own lines, gives the source, destination and eavesdropper links their own
+shapes (m_s, m_d, m_e): every triple over 1/3/6 that is not one m on all
+links, plus (1, 6, 2), (6, 1, 3) and (4, 4, 1), each with N 2/3/7, gamma_t
+0/30/60 dB and R 0.5/3 on the fig2 base (486 points, 7776 evaluations).  It
+covers m_s above and below (m_d - 1) theta1, which sets the order of the
+Bessel tables the exact SOP reads.
 
 Each evaluation contributes ``repr(raw_value)``, ``repr(dict(term_breakdown))``
 and the message of every ``NumericalInstabilityWarning`` it raised.  The set is
@@ -35,6 +43,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from backsec import analytic
+from backsec.channel import NakagamiLink
 from backsec.config import apply_axis, loads_config, preset_names, preset_text
 from backsec.errors import NumericalInstabilityWarning
 from backsec.montecarlo import PROTOCOL_ORDER
@@ -48,6 +57,8 @@ FORMS = tuple((fn, proto) for fn in (analytic.sop_exact, analytic.sop_asymptotic
 ORACLE_SEEDS = (1, 7, 11)
 CELLS = ((8, 4), (16, 3), (12, 4), (6, 6))
 CELL_GAMMA_T_DB = (0.0, 30.0, 60.0)
+MIXED_SHAPES = tuple(s for s in itertools.product((1, 3, 6), repeat=3)
+                     if len(set(s)) > 1) + ((1, 6, 2), (6, 1, 3), (4, 4, 1))
 
 
 def _with_axes(params, settings):
@@ -57,7 +68,7 @@ def _with_axes(params, settings):
 
 
 def points() -> list:
-    """The 1172 parameter points, in digest order."""
+    """The 1172 parameter points of the main set, in digest order."""
     out = []
     for seed in ORACLE_SEEDS:
         workload = OracleMixed(seed)
@@ -82,6 +93,22 @@ def points() -> list:
     return out
 
 
+def mixed_points() -> list:
+    """The 486 mixed-shape parameter points, in digest order."""
+    base = loads_config(preset_text("fig2")).base
+    out = []
+    for shapes, n, gamma_db, rate in itertools.product(
+            MIXED_SHAPES, (2, 3, 7), CELL_GAMMA_T_DB, (0.5, 3.0)):
+        links = {}
+        for field, fam, m in zip(("link_s", "link_d", "link_e"), "sde", shapes):
+            link = base.links_of(fam)[0]
+            links[field] = NakagamiLink.from_lambda_tilde(
+                m, link.lambda_tilde, link.distance, link.pathloss_exp)
+        out.append(_with_axes(replace(base, n_tags=n, **links),
+                              (("gamma_t_db", gamma_db), ("rate", rate))))
+    return out
+
+
 def _evaluate(fn, proto, params) -> tuple:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NumericalInstabilityWarning)
@@ -100,11 +127,12 @@ def _results(params, way: str) -> list:
     return [results[i] for i in range(len(FORMS))]
 
 
-def digest(way: str) -> tuple:
-    """(SHA-256 hex, evaluations, warnings, flagged evaluations) for one way."""
+def digest(point_set: list, way: str) -> tuple:
+    """(SHA-256 hex, evaluations, warnings, flagged evaluations) of one set,
+    evaluated one way."""
     h = hashlib.sha256()
     evaluations = n_warnings = flagged = 0
-    for params in points():
+    for params in point_set:
         for raw, breakdown, messages in _results(replace(params), way):
             h.update(f"{raw}\n{breakdown}\n".encode())
             for message in messages:
@@ -116,11 +144,13 @@ def digest(way: str) -> tuple:
 
 
 def main() -> int:
-    rows = {way: digest(way) for way in ("forward", "reversed", "fresh")}
-    for way, (hexdigest, evaluations, n_warnings, flagged) in rows.items():
-        print(f"{way:9s} sha256={hexdigest} evaluations={evaluations} "
-              f"warnings={n_warnings} flagged={flagged}")
-    agree = len(set(rows.values())) == 1
+    agree = True
+    for prefix, point_set in (("", points()), ("mixed ", mixed_points())):
+        rows = {way: digest(point_set, way) for way in ("forward", "reversed", "fresh")}
+        for way, (hexdigest, evaluations, n_warnings, flagged) in rows.items():
+            print(f"{prefix}{way:9s} sha256={hexdigest} evaluations={evaluations} "
+                  f"warnings={n_warnings} flagged={flagged}")
+        agree = agree and len(set(rows.values())) == 1
     print("ways agree" if agree else "WAYS DISAGREE")
     return 0 if agree else 1
 
