@@ -7,6 +7,7 @@ reduces to finite sums; non-integer m is rejected at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -33,6 +34,13 @@ class NakagamiLink:
             raise ValidationError(f"distance must be positive, got {self.distance}")
         if not self.pathloss_exp > 0:
             raise ValidationError(f"pathloss_exp must be positive, got {self.pathloss_exp}")
+        try:
+            gain = self.path_gain
+        except OverflowError:
+            gain = math.inf
+        if not 0 < gain < math.inf:
+            raise ValidationError(
+                f"path gain d^-u = {self.distance}^-{self.pathloss_exp} is outside the float range")
 
     @property
     def lambda_tilde(self) -> float:

@@ -2,9 +2,11 @@
 
 Config syntax: one `key = value` per line, `#` comments, blank lines ignored.
 Values may carry a unit suffix: dB (converted as 10^(x/10)), m, uW, W.  Bare
-numbers are linear / SI base units.  The circuit draw `p_c` has no default on
-purpose: the bundled harvester constants are internally inconsistent without
-an explicit choice, so every config must state it.
+numbers are linear / SI base units.  Every number, `axis_values` items too,
+has one grammar and must be finite once its unit is applied.  The circuit
+draw `p_c` has no default on purpose: the bundled harvester constants are
+internally inconsistent without an explicit choice, so every config must
+state it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import importlib.resources
 import math
 import re
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .channel import NakagamiLink
 from .ehmodel import EhParams
@@ -26,77 +29,91 @@ AXES = ("gamma_t_db", "d_d", "d_e", "rate", "m_all")
 METHODS = ("exact", "asymptotic", "mc")
 
 _DB = "db"
-_POWER = "power"      # W / uW suffixes
-_DISTANCE = "dist"    # m suffix
+_POWER = "power"
+_DISTANCE = "dist"
 _PLAIN = "plain"
 _INT = "int"
 _WORDS = "words"
-_FLOATS = "floats"
+_FLOATS = "floats"    # comma-separated plain numbers
 
-# key -> (kind, default); _REQUIRED means the config must set it explicitly.
-_REQUIRED = object()
+
+def _link(family: str, attr: str):
+    return lambda spec: getattr(spec.base.links_of(family)[0], attr)
+
+
+# key -> (kind, default in config syntax or None where the config must set the
+# key, reader of the resolved value from a SweepSpec).  Defaults are parsed
+# like user values; to_text emits str() of each reader, in this order.
 _KEYS = {
-    "metric": (_WORDS, "sop"),
-    "methods": (_WORDS, "exact, asymptotic, mc"),
-    "protocols": (_WORDS, "sots, mets, ots, rts"),
-    "axis": (_WORDS, "gamma_t_db"),
-    "axis_values": (_FLOATS, "0, 5, 10, 15, 20, 25, 30, 35, 40"),
-    "gamma_t": (_DB, 1000.0),
-    "p_tx": (_POWER, 1.0),
-    "gamma_p": (_DB, 10 ** 0.5),
-    "zeta": (_PLAIN, 2.2),
-    "n_tags": (_INT, 3),
-    "rate": (_PLAIN, 0.5),
-    "m_sk": (_INT, 2),
-    "m_kd": (_INT, 2),
-    "m_ke": (_INT, 2),
-    "lambda_sk": (_DB, 10 ** 0.2),
-    "lambda_kd": (_DB, 10 ** 0.3),
-    "lambda_ke": (_DB, 10 ** 0.5),
-    "d_s": (_DISTANCE, 1.0),
-    "d_d": (_DISTANCE, 2.0),
-    "d_e": (_DISTANCE, 4.0),
-    "u_s": (_PLAIN, 2.0),
-    "u_d": (_PLAIN, 2.0),
-    "u_e": (_PLAIN, 2.0),
-    "p_max": (_POWER, 200e-6),
-    "xi0": (_POWER, 5e-6),
-    "xi1": (_PLAIN, 5000.0),
-    "xi2": (_PLAIN, 2e-4),
-    "p_c": (_POWER, _REQUIRED),
-    "trials": (_INT, 1_000_000),
-    "seed": (_INT, 1),
-    "batch_size": (_INT, 65536),
-    "workers": (_INT, 1),
+    "metric": (_WORDS, "sop", attrgetter("metric")),
+    "methods": (_WORDS, "exact, asymptotic, mc", lambda s: ", ".join(s.methods)),
+    "protocols": (_WORDS, "sots, mets, ots, rts",
+                  lambda s: ", ".join(p.value for p in s.protocols)),
+    "axis": (_WORDS, "gamma_t_db", attrgetter("axis")),
+    "axis_values": (_FLOATS, "0, 5, 10, 15, 20, 25, 30, 35, 40",
+                    lambda s: ", ".join(map(str, s.axis_values))),
+    "gamma_t": (_DB, "30 dB", attrgetter("base.gamma_t")),
+    "p_tx": (_POWER, "1 W", attrgetter("base.p_tx")),
+    "gamma_p": (_DB, "5 dB", attrgetter("base.gamma_p")),
+    "zeta": (_PLAIN, "2.2", attrgetter("base.zeta")),
+    "n_tags": (_INT, "3", attrgetter("base.n_tags")),
+    "rate": (_PLAIN, "0.5", attrgetter("base.rate_threshold")),
+    "m_sk": (_INT, "2", _link("s", "m")),
+    "m_kd": (_INT, "2", _link("d", "m")),
+    "m_ke": (_INT, "2", _link("e", "m")),
+    "lambda_sk": (_DB, "2 dB", _link("s", "lambda_tilde")),
+    "lambda_kd": (_DB, "3 dB", _link("d", "lambda_tilde")),
+    "lambda_ke": (_DB, "5 dB", _link("e", "lambda_tilde")),
+    "d_s": (_DISTANCE, "1 m", _link("s", "distance")),
+    "d_d": (_DISTANCE, "2 m", _link("d", "distance")),
+    "d_e": (_DISTANCE, "4 m", _link("e", "distance")),
+    "u_s": (_PLAIN, "2", _link("s", "pathloss_exp")),
+    "u_d": (_PLAIN, "2", _link("d", "pathloss_exp")),
+    "u_e": (_PLAIN, "2", _link("e", "pathloss_exp")),
+    # not "200 uW" / "5 uW": 200 * 1e-6 and 5 * 1e-6 are not 2e-4 and 5e-6
+    "p_max": (_POWER, "2e-4 W", attrgetter("base.eh.p_max")),
+    "xi0": (_POWER, "5e-6 W", attrgetter("base.eh.xi0")),
+    "xi1": (_PLAIN, "5000", attrgetter("base.eh.xi1")),
+    "xi2": (_PLAIN, "2e-4", attrgetter("base.eh.xi2")),
+    "p_c": (_POWER, None, attrgetter("base.eh.p_c")),
+    "trials": (_INT, "1000000", attrgetter("mc.trials")),
+    "seed": (_INT, "1", attrgetter("mc.seed")),
+    "batch_size": (_INT, "65536", attrgetter("mc.batch_size")),
+    "workers": (_INT, "1", attrgetter("mc.workers")),
 }
 
-_NUM_UNIT = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)\s*$")
+_NUM_UNIT = re.compile(
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)\s*$")
+
+
+def _from_db(x: float) -> float:
+    """10^(x/10), or inf where that leaves the float range."""
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+# kind -> the unit suffixes its keys accept, each with its conversion to SI units
+_UNITS = {_DB: {"dB": _from_db}, _DISTANCE: {"m": float},
+          _POWER: {"W": float, "uW": lambda x: x * 1e-6}}
 
 
 def _parse_scalar(key: str, kind: str, raw: str, line_no: int) -> float:
+    """One number with an optional unit suffix, in linear SI units; it must
+    be finite once the unit is applied."""
     m = _NUM_UNIT.match(raw)
     if not m:
         raise ConfigParseError(f"cannot parse value {raw!r} for key {key!r}", line_no)
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ConfigParseError(f"bad number {m.group(1)!r} for key {key!r}", line_no) from None
-    unit = m.group(2)
-    if unit == "":
-        return value
-    if unit == "dB":
-        if kind != _DB:
-            raise ConfigParseError(f"key {key!r} does not accept dB values", line_no)
-        return 10.0 ** (value / 10.0)
-    if unit == "m":
-        if kind != _DISTANCE:
-            raise ConfigParseError(f"key {key!r} does not accept a distance unit", line_no)
-        return value
-    if unit in ("W", "uW"):
-        if kind != _POWER:
-            raise ConfigParseError(f"key {key!r} does not accept a power unit", line_no)
-        return value * (1e-6 if unit == "uW" else 1.0)
-    raise ConfigParseError(f"unknown unit {unit!r} (use dB, m, uW or W)", line_no)
+    value, unit = float(m.group(1)), m.group(2)
+    if unit:
+        convert = _UNITS.get(kind, {}).get(unit)
+        if convert is None:
+            raise ConfigParseError(f"key {key!r} does not accept the unit {unit!r}", line_no)
+        value = convert(value)
+    if not math.isfinite(value):
+        raise ConfigParseError(f"value {raw!r} for key {key!r} is outside the float range", line_no)
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,46 +132,9 @@ class SweepSpec:
     def to_text(self) -> str:
         """Emit the resolved configuration (all linear units); reloading the
         result reproduces this spec exactly."""
-        b = self.base
-        link_s = b.links_of("s")[0]
-        link_d = b.links_of("d")[0]
-        link_e = b.links_of("e")[0]
-        b.require_homogeneous()
-        lines = [
-            "# resolved configuration (linear units)",
-            f"metric = {self.metric}",
-            "methods = " + ", ".join(self.methods),
-            "protocols = " + ", ".join(p.value for p in self.protocols),
-            f"axis = {self.axis}",
-            "axis_values = " + ", ".join(repr(v) for v in self.axis_values),
-            f"gamma_t = {b.gamma_t!r}",
-            f"p_tx = {b.p_tx!r}",
-            f"gamma_p = {b.gamma_p!r}",
-            f"zeta = {b.zeta!r}",
-            f"n_tags = {b.n_tags}",
-            f"rate = {b.rate_threshold!r}",
-            f"m_sk = {link_s.m}",
-            f"m_kd = {link_d.m}",
-            f"m_ke = {link_e.m}",
-            f"lambda_sk = {link_s.lambda_tilde!r}",
-            f"lambda_kd = {link_d.lambda_tilde!r}",
-            f"lambda_ke = {link_e.lambda_tilde!r}",
-            f"d_s = {link_s.distance!r}",
-            f"d_d = {link_d.distance!r}",
-            f"d_e = {link_e.distance!r}",
-            f"u_s = {link_s.pathloss_exp!r}",
-            f"u_d = {link_d.pathloss_exp!r}",
-            f"u_e = {link_e.pathloss_exp!r}",
-            f"p_max = {b.eh.p_max!r}",
-            f"xi0 = {b.eh.xi0!r}",
-            f"xi1 = {b.eh.xi1!r}",
-            f"xi2 = {b.eh.xi2!r}",
-            f"p_c = {b.eh.p_c!r}",
-            f"trials = {self.mc.trials}",
-            f"seed = {self.mc.seed}",
-            f"batch_size = {self.mc.batch_size}",
-            f"workers = {self.mc.workers}",
-        ]
+        self.base.require_homogeneous()
+        lines = ["# resolved configuration (linear units)"]
+        lines += [f"{key} = {read(self)}" for key, (_, _, read) in _KEYS.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -182,32 +162,18 @@ def loads_config(text: str) -> SweepSpec:
     parsed = _parse_lines(text)
 
     def get(key: str):
-        kind, default = _KEYS[key]
-        if key in parsed:
-            value, line_no = parsed[key]
-        else:
-            if default is _REQUIRED:
-                raise ValidationError(
-                    f"config must set {key!r} explicitly (e.g. 'p_c = 100 uW'); "
-                    "the stock harvester constants leave it ambiguous"
-                )
-            if kind in (_WORDS, _FLOATS):
-                value, line_no = default, 0
-            else:
-                return default
+        kind, default, _ = _KEYS[key]
+        value, line_no = parsed.get(key, (default, 0))
+        if value is None:
+            raise ValidationError(
+                f"config must set {key!r} explicitly (e.g. 'p_c = 100 uW'); "
+                "the stock harvester constants leave it ambiguous"
+            )
         if kind == _WORDS:
             return tuple(w.strip().lower() for w in value.split(",") if w.strip())
         if kind == _FLOATS:
-            out = []
-            for tok in value.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                try:
-                    out.append(float(tok))
-                except ValueError:
-                    raise ConfigParseError(f"bad number {tok!r} in {key}", line_no) from None
-            return tuple(out)
+            return tuple(_parse_scalar(key, _PLAIN, tok, line_no)
+                         for tok in map(str.strip, value.split(",")) if tok)
         scalar = _parse_scalar(key, kind, value, line_no)
         if kind == _INT:
             if scalar != int(scalar):
@@ -245,13 +211,6 @@ def loads_config(text: str) -> SweepSpec:
         raise ValidationError("axis_values must not be empty")
     if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
         raise ValidationError(f"axis_values must be strictly increasing, got {axis_values}")
-    if axis == "m_all":
-        if any(v != int(v) or v < 1 for v in axis_values):
-            raise ValidationError(f"m_all axis values must be positive integers, got {axis_values}")
-    elif axis in ("d_d", "d_e") and axis_values[0] <= 0:
-        raise ValidationError(f"{axis} axis values must be positive, got {axis_values}")
-    elif axis == "rate" and axis_values[0] < 0:
-        raise ValidationError(f"rate axis values must be non-negative, got {axis_values}")
 
     eh = EhParams(p_max=get("p_max"), xi0=get("xi0"), xi1=get("xi1"),
                   xi2=get("xi2"), p_c=get("p_c"))
@@ -267,6 +226,8 @@ def loads_config(text: str) -> SweepSpec:
         link_e=NakagamiLink.from_lambda_tilde(get("m_ke"), get("lambda_ke"), get("d_e"), get("u_e")),
         eh=eh,
     )
+    for value in axis_values:  # every sweep point must be a valid scenario
+        apply_axis(base, axis, value)
     mc = McConfig(trials=get("trials"), seed=get("seed"),
                   batch_size=get("batch_size"), workers=get("workers"))
     return SweepSpec(metric=metric, methods=methods, protocols=protocols,
@@ -279,27 +240,29 @@ def load_config(path) -> SweepSpec:
         return loads_config(fh.read())
 
 
+def _map_links(base: SystemParams, families: str, change) -> SystemParams:
+    """Apply change to every tag's link of each family, so per-tag links
+    keep their differences in every field the change leaves alone."""
+    new = {}
+    for fam in families:
+        value = getattr(base, "link_" + fam)
+        new["link_" + fam] = (change(value) if isinstance(value, NakagamiLink)
+                              else tuple(change(link) for link in value))
+    return replace(base, **new)
+
+
 def apply_axis(base: SystemParams, axis: str, value: float) -> SystemParams:
     """Scenario at one sweep point.  gamma_t_db rescales transmit power at
     fixed noise; m_all changes the shapes keeping each lambda_tilde fixed."""
     if axis == "gamma_t_db":
-        return base.with_transmit_snr(10.0 ** (value / 10.0))
-    if axis == "d_d":
-        link = base.links_of("d")[0]
-        return replace(base, link_d=replace(link, distance=value))
-    if axis == "d_e":
-        link = base.links_of("e")[0]
-        return replace(base, link_e=replace(link, distance=value))
+        return base.with_transmit_snr(_from_db(value))
+    if axis in ("d_d", "d_e"):
+        return _map_links(base, axis[-1], lambda link: replace(link, distance=value))
     if axis == "rate":
         return replace(base, rate_threshold=value)
     if axis == "m_all":
-        m = int(value)
-        new = {}
-        for field, fam in (("link_s", "s"), ("link_d", "d"), ("link_e", "e")):
-            link = base.links_of(fam)[0]
-            new[field] = NakagamiLink.from_lambda_tilde(
-                m, link.lambda_tilde, link.distance, link.pathloss_exp)
-        return replace(base, **new)
+        return _map_links(base, "sde", lambda link: NakagamiLink.from_lambda_tilde(
+            value, link.lambda_tilde, link.distance, link.pathloss_exp))
     raise ValidationError(f"unknown axis {axis!r}")
 
 

@@ -52,6 +52,12 @@ class EhParams:
                 f"phi2 = p_max - p_c = {self.p_max - self.p_c} W must be positive "
                 "or the activation threshold phi is undefined"
             )
+        try:
+            phi = self.phi
+        except OverflowError:
+            phi = math.inf
+        if not math.isfinite(phi):
+            raise ValidationError("the activation threshold phi is outside the float range")
 
     @property
     def phi2(self) -> float:

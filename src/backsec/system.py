@@ -6,6 +6,7 @@ them."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -63,13 +64,14 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("p_tx", "gamma_t", "gamma_p", "zeta"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if isinstance(self.n_tags, bool) or int(self.n_tags) != self.n_tags or self.n_tags < 1:
             raise ValidationError(f"n_tags must be a positive integer, got {self.n_tags!r}")
         object.__setattr__(self, "n_tags", int(self.n_tags))
-        if not self.rate_threshold >= 0:
-            raise ValidationError(f"rate_threshold must be non-negative, got {self.rate_threshold}")
+        if not 0 <= self.rate_threshold < 1024:
+            raise ValidationError(f"rate_threshold must be in [0, 1024), where 2^R is a finite "
+                                  f"float, got {self.rate_threshold}")
         for name in ("link_s", "link_d", "link_e"):
             _check_links(name, getattr(self, name), self.n_tags)
         if not isinstance(self.eh, EhParams):
@@ -87,8 +89,8 @@ class SystemParams:
 
     def with_transmit_snr(self, gamma_t: float) -> "SystemParams":
         """Rescale to a new transmit SNR at fixed noise power (p_tx co-varies)."""
-        if not gamma_t > 0:
-            raise ValidationError(f"gamma_t must be positive, got {gamma_t}")
+        if not 0 < gamma_t < math.inf:
+            raise ValidationError(f"gamma_t must be positive and finite, got {gamma_t}")
         return replace(self, gamma_t=gamma_t, p_tx=self.noise_power * gamma_t)
 
     def links_of(self, family: str) -> tuple:

@@ -86,6 +86,12 @@ class TestNakagamiLink:
         with pytest.raises(ValidationError):
             NakagamiLink(m=2, omega=1.0, distance=0.0, pathloss_exp=2.0)
 
+    @pytest.mark.parametrize("distance", [1e-300, 1e300])
+    def test_path_gain_outside_float_range_rejected(self, distance):
+        # d^-2 overflows at 1e-300 and underflows to 0 at 1e300
+        with pytest.raises(ValidationError, match="path gain"):
+            NakagamiLink(m=2, omega=1.0, distance=distance, pathloss_exp=2.0)
+
 
 class TestPdf:
     """The weakest-of-1 density is the gain density itself."""

@@ -9,18 +9,76 @@ from pathlib import Path
 import pytest
 
 from backsec import cli
+from backsec.channel import NakagamiLink
 from backsec.config import (
+    SweepSpec,
     apply_axis,
     load_config,
     loads_config,
     preset_names,
     preset_text,
 )
+from backsec.ehmodel import EhParams
 from backsec.errors import ConfigParseError, ValidationError
 from backsec.montecarlo import McConfig
-from backsec.system import ProtocolKind
+from backsec.system import ProtocolKind, SystemParams
 
 MINIMAL = "p_c = 100 uW\n"
+
+# Frozen to_text() of fig2.  A format change that parses back equal (1000.0
+# written as 1e3, say) passes the round trip but must fail here.
+FIG2_TEXT = """\
+# resolved configuration (linear units)
+metric = sop
+methods = exact, asymptotic, mc
+protocols = sots, mets, ots, rts
+axis = gamma_t_db
+axis_values = 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0
+gamma_t = 1000.0
+p_tx = 1.0
+gamma_p = 3.1622776601683795
+zeta = 2.2
+n_tags = 3
+rate = 0.5
+m_sk = 2
+m_kd = 2
+m_ke = 2
+lambda_sk = 1.5848931924611134
+lambda_kd = 1.9952623149688793
+lambda_ke = 3.162277660168379
+d_s = 1.0
+d_d = 2.0
+d_e = 4.0
+u_s = 2.0
+u_d = 2.0
+u_e = 2.0
+p_max = 0.00019999999999999998
+xi0 = 4.9999999999999996e-06
+xi1 = 5000.0
+xi2 = 0.0002
+p_c = 9.999999999999999e-05
+trials = 1000000
+seed = 1
+batch_size = 65536
+workers = 1
+"""
+
+# The lines where the other presets and the minimal config differ from fig2.
+TEXT_CHANGES = {
+    "fig2": [],
+    "fig3": ["axis = d_d", "axis_values = 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0"],
+    "fig4": ["axis = d_e", "axis_values = 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0"],
+    "fig5": ["axis = rate", "axis_values = 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0"],
+    "fig6": ["protocols = sots", "axis = m_all", "axis_values = 1.0, 2.0, 3.0, 4.0"],
+    "fig7": ["metric = ip"],
+    "minimal": ["p_max = 0.0002", "xi0 = 5e-06"],
+}
+
+# Entries the CLI must turn into exit code 2, each of which once ended in a
+# traceback: a number past the float range, before or after its unit, or a
+# derived value (2^R, d^-u, phi) past it.
+OUT_OF_RANGE_POINTS = ["trials=1e400", "d_d=1e400", "gamma_t=1e400", "gamma_t=4000dB",
+                       "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300"]
 
 
 def fast_spec(**overrides):
@@ -32,14 +90,18 @@ def fast_spec(**overrides):
 
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
-        spec = loads_config(MINIMAL)
-        assert spec.metric == "sop"
-        assert spec.methods == ("exact", "asymptotic", "mc")
-        assert spec.protocols == tuple(ProtocolKind)
-        assert spec.axis == "gamma_t_db"
-        assert spec.base.n_tags == 3
-        assert spec.base.eh.p_c == pytest.approx(100e-6)
-        assert spec.base.gamma_p == pytest.approx(10 ** 0.5)
+        link = NakagamiLink.from_lambda_tilde
+        expected = SweepSpec(
+            metric="sop", methods=("exact", "asymptotic", "mc"), protocols=tuple(ProtocolKind),
+            axis="gamma_t_db", axis_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
+            base=SystemParams(
+                p_tx=1.0, gamma_t=1000.0, gamma_p=10 ** 0.5, zeta=2.2, n_tags=3,
+                rate_threshold=0.5, link_s=link(2, 10 ** 0.2, 1.0, 2.0),
+                link_d=link(2, 10 ** 0.3, 2.0, 2.0), link_e=link(2, 10 ** 0.5, 4.0, 2.0),
+                # 100 * 1e-6 is what "100 uW" parses to (not 100e-6)
+                eh=EhParams(p_max=200e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4, p_c=100 * 1e-6)),
+            mc=McConfig(trials=1_000_000, seed=1, batch_size=65536, workers=1))
+        assert loads_config(MINIMAL) == expected
 
     def test_db_and_power_units(self):
         spec = loads_config(MINIMAL + "gamma_t = 20 dB\nlambda_sk = 1.6\np_max = 0.0005 W\n")
@@ -61,6 +123,17 @@ class TestParsing:
         with pytest.raises(ConfigParseError) as err:
             loads_config("p_c = 100 uW\nbogus = 1\n")
         assert "bogus" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "axis_values = 0, nan", "axis_values = 0, inf", "axis_values = 0, 1_0",
+        "axis_values = 0, 10 dB", "trials = 1e400", "d_d = 1e400 m", "gamma_t = 4000 dB",
+    ])
+    def test_one_number_grammar(self, line):
+        # list items and scalars share one grammar: finite numbers only, and a
+        # unit only where the key takes one
+        with pytest.raises(ConfigParseError) as err:
+            loads_config(MINIMAL + line + "\n")
+        assert err.value.line_no == 2 and "line 2" in str(err.value)
 
     def test_wrong_unit_rejected(self):
         with pytest.raises(ConfigParseError):
@@ -103,6 +176,14 @@ class TestRoundTrip:
             spec = loads_config(preset_text(name))
             assert loads_config(spec.to_text()) == spec
 
+    @pytest.mark.parametrize("name", sorted(TEXT_CHANGES))
+    def test_text_frozen(self, name):
+        changed = {line.split(" = ")[0]: line for line in TEXT_CHANGES[name]}
+        expected = "".join(changed.get(line.split(" = ")[0], line) + "\n"
+                           for line in FIG2_TEXT.splitlines())
+        spec = loads_config(MINIMAL if name == "minimal" else preset_text(name))
+        assert spec.to_text() == expected
+
 
 class TestPresets:
     def test_all_six_exist(self):
@@ -143,6 +224,15 @@ class TestPresets:
             preset_text("fig99")
 
 
+def per_tag_base():
+    """The minimal scenario with three different links in every family."""
+    def spread(link):
+        return (link, replace(link, m=3, omega=0.8), replace(link, distance=link.distance * 1.5))
+    base = loads_config(MINIMAL).base
+    return replace(base, link_s=spread(base.link_s), link_d=spread(base.link_d),
+                   link_e=spread(base.link_e))
+
+
 class TestApplyAxis:
     def test_gamma_axis_rescales_power_at_fixed_noise(self):
         base = loads_config(MINIMAL).base
@@ -162,6 +252,32 @@ class TestApplyAxis:
             assert moved.links_of(fam)[0].m == 4
             assert moved.links_of(fam)[0].lambda_tilde == pytest.approx(
                 base.links_of(fam)[0].lambda_tilde)
+        assert apply_axis(base, "m_all", 4.0) == moved
+
+    def test_m_axis_rejects_non_integer(self):
+        with pytest.raises(ValidationError):
+            apply_axis(loads_config(MINIMAL).base, "m_all", 2.5)
+
+    def test_gamma_axis_rejects_overflow(self):
+        with pytest.raises(ValidationError):
+            apply_axis(loads_config(MINIMAL).base, "gamma_t_db", 4000.0)
+
+    def test_m_axis_keeps_per_tag_links(self):
+        base = per_tag_base()
+        moved = apply_axis(base, "m_all", 3)
+        for fam in "sde":
+            assert moved.links_of(fam) == tuple(
+                NakagamiLink.from_lambda_tilde(3, l.lambda_tilde, l.distance, l.pathloss_exp)
+                for l in base.links_of(fam))
+
+    @pytest.mark.parametrize("axis", ["d_d", "d_e"])
+    def test_distance_axes_keep_per_tag_links(self, axis):
+        base = per_tag_base()
+        moved = apply_axis(base, axis, 5.0)
+        fam = axis[-1]
+        assert moved.links_of(fam) == tuple(replace(l, distance=5.0) for l in base.links_of(fam))
+        assert [moved.links_of(f) for f in "sde" if f != fam] == [
+            base.links_of(f) for f in "sde" if f != fam]
 
 
 class TestRunSweep:
@@ -256,6 +372,18 @@ class TestCliCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "sots" in out and "exact" in out and "mc" in out
+
+    @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
+    def test_out_of_range_point_exits_2(self, entry, capsys):
+        assert cli.main(["oracle", "--point", "p_c=100uW", entry, "--trials", "1000"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("values", ["0, inf", "0, 4000"])
+    def test_out_of_range_axis_exits_2(self, values, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL + f"axis_values = {values}\nmethods = exact\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_oracle_requires_p_c(self, capsys):
         assert cli.main(["oracle", "--point", "gamma_t=20dB", "--trials", "1000"]) == 2

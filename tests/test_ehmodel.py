@@ -29,6 +29,11 @@ class TestEhParams:
     def test_phi_positive(self):
         assert EH_DEFAULT.phi > 0.0
 
+    def test_phi_outside_float_range_rejected(self):
+        # exp(xi1 * xi0) overflows
+        with pytest.raises(ValidationError, match="phi"):
+            EhParams(p_max=200e-6, xi0=5e-6, xi1=1e300, xi2=2e-4, p_c=100e-6)
+
     def test_negative_constants_rejected(self):
         with pytest.raises(ValidationError):
             EhParams(p_max=-1e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4, p_c=1e-7)

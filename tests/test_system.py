@@ -81,7 +81,7 @@ class TestSystemParams:
             SystemParams(p_tx=0.0, gamma_t=p.gamma_t, gamma_p=p.gamma_p, zeta=p.zeta,
                          n_tags=3, rate_threshold=0.5, link_s=p.link_s, link_d=p.link_d,
                          link_e=p.link_e, eh=p.eh)
-        for rate in (-0.5, math.nan):
+        for rate in (-0.5, math.nan, 1024.0):  # 2^1024 is past the float range
             with pytest.raises(ValidationError):
                 SystemParams(p_tx=1.0, gamma_t=p.gamma_t, gamma_p=p.gamma_p, zeta=p.zeta,
                              n_tags=3, rate_threshold=rate, link_s=p.link_s, link_d=p.link_d,
