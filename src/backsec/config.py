@@ -34,7 +34,7 @@ _DISTANCE = "dist"
 _PLAIN = "plain"
 _INT = "int"
 _WORDS = "words"
-_FLOATS = "floats"    # comma-separated plain numbers
+_FLOATS = "floats"
 
 
 def _link(family: str, attr: str):

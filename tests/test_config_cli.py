@@ -74,9 +74,9 @@ TEXT_CHANGES = {
     "minimal": ["p_max = 0.0002", "xi0 = 5e-06"],
 }
 
-# Entries the CLI must turn into exit code 2, each of which once ended in a
-# traceback: a number past the float range, before or after its unit, or a
-# derived value (2^R, d^-u, phi) past it.
+# Entries the CLI must reject with exit code 2, not a traceback: a number past
+# the float range, before or after its unit, or a derived value (2^R, d^-u,
+# phi) past it.
 OUT_OF_RANGE_POINTS = ["trials=1e400", "d_d=1e400", "gamma_t=1e400", "gamma_t=4000dB",
                        "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300"]
 
