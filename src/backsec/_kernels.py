@@ -14,10 +14,21 @@ never shared between calls, so concurrent batches on worker threads stay
 independent.  Every array of the workspace starts on a 64-byte cache line:
 the allocator alone guarantees 16 bytes, and an offset that depends on what
 the process allocated before moves the kernel's speed by about 10%.
+
+After the log, every stage works on whole runs of adjacent (family, tag)
+rows, never on one tag at a time.  The Gamma sums make one add per extra
+shape unit for each run of rows with equal m, the divide one call per run of
+equal lambda~, and the SOTS, METS and OTS picks a fixed number of calls
+whatever N.  With i.i.d. links a tile thus makes 62 + max(m - 1, 1) numpy
+calls at any N (63 at m = 1, 64 at m = 3), where a per-tag loop made
+34 + 9N + 3N*max(m - 1, 1) (70 at fig2's N = 3, m = 2; 154 at N = 8, m = 3).
+That matters most where tiles are short: at N = 8, m = 3 a tile holds 897
+trials.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +81,15 @@ def _workspace(*specs):
             for (shape, dtype), start, size in zip(specs, starts, sizes)]
 
 
+def _runs(values):
+    """(start, stop, value) of each run of equal adjacent values."""
+    start = 0
+    for value, group in itertools.groupby(values):
+        stop = start + sum(1 for _ in group)
+        yield start, stop, value
+        start = stop
+
+
 def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
              thr, e1g, e2g, tau, r_pos):
     """Event counts of one batch of n_trials trials keyed on bseed.
@@ -81,27 +101,27 @@ def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
 
     Trials are walked in tiles of about _TILE_UNIFORMS draws through one
     workspace allocated per call; every stage writes into slices of it.
-    Within a tile the draws sit slot-major (row = slot, column = trial).
+    Within a tile the draws sit slot-major (row = slot, column = trial), and
+    the gains sit row-major over (family, tag).
     """
     slots = int(m_s.sum() + m_d.sum() + m_e.sum()) + 1
     tile = min(n_trials, max(1, _TILE_UNIFORMS // slots))
     n = n_tags
 
-    z, u, gains, ratio, denom, best, flat, moved, mask, dead, sel, hits = _workspace(
+    z, u, gains, ratio, denom, flat, dead, sel, hits = _workspace(
         ((slots, tile), np.uint64),
         ((slots, tile), np.float64),
         ((3, n, tile), np.float64),
         ((n, tile), np.float64),
         ((n, tile), np.float64),
-        ((tile,), np.float64),
         ((3, tile), np.intp),      # flat picks of SOTS, METS, RTS
-        ((tile,), np.intp),
-        ((tile,), np.bool_),
         ((n, tile), np.bool_),
         ((4, tile), np.float64),   # picked ratio, -1 when dead: SOTS, METS, RTS, OTS
         ((4, tile), np.bool_),
     )
     shifted = u.view(np.uint64)   # the shift temporary; dead before u is written
+    hashed = z.view(np.int64)     # the shifted hash is below 2^53: exact as int64
+    weight = denom.view(np.intp)  # pick scratch; dead once the ratio is divided
     trial_idx = np.arange(tile, dtype=np.intp)
     # draw (trial i of the tile, slot s) has counter j = (t0 + i)*slots + s, so
     # its hash input bseed + (j + 1)*GOLD is a per-tile column term plus
@@ -109,14 +129,21 @@ def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
     row_term = trial_idx.astype(np.uint64) * np.uint64(slots) * _GOLD
     slot_term = np.arange(1, slots + 1, dtype=np.uint64) * _GOLD
 
-    firsts = []                   # first slot of each (family, tag) Gamma draw
-    col = 0
-    for ms in (m_s, m_d, m_e):
-        for k in range(n):
-            firsts.append((col, int(ms[k])))
-            col += int(ms[k])
-    neg_lam = -np.concatenate((lam_s, lam_d, lam_e))
+    # gain rows run (family, tag) in draw order, so a run of rows with equal
+    # m holds its draws in adjacent slots: a (rows, m, tile) view of them
+    g_rows = gains.reshape(3 * n, tile)
+    sums, col = [], 0
+    for r0, r1, m in _runs(np.concatenate((m_s, m_d, m_e)).tolist()):
+        sums.append((g_rows[r0:r1], u[col:col + (r1 - r0) * m].reshape(r1 - r0, m, tile), m))
+        col += (r1 - r0) * m
+    scales = [(g_rows[r0:r1], -lam)
+              for r0, r1, lam in _runs(np.concatenate((lam_s, lam_d, lam_e)).tolist())]
+    # tag k weighs (N - k)*tile: the largest weight among equal tags is the
+    # first of them, and N*tile minus it is that tag's flat row offset
+    first_weight = ((n - np.arange(n, dtype=np.intp)) * tile)[:, None]
     thr_c, e1g_c, e2g_c = thr[:, None], e1g[:, None], e2g[:, None]
+    # (counts column, bound): dead, outage when tau > 1, intercept
+    bounds = ((0, 0.0), (1, tau), (2, 1.0)) if r_pos else ((0, 0.0), (2, 1.0))
 
     counts = np.zeros((4, 3), dtype=np.int64)
     for t0 in range(0, n_trials, tile):
@@ -133,21 +160,26 @@ def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
         np.right_shift(zt, _S31, out=sh)
         np.bitwise_xor(zt, sh, out=zt)
         np.right_shift(zt, _S11, out=zt)
-        np.copyto(ut, zt, casting="unsafe")
+        np.copyto(ut, hashed[:, :nt])
         np.add(ut, 1.0, out=ut)
         np.multiply(ut, _U53, out=ut)
         logs = ut[: slots - 1]
         np.log(logs, out=logs)
 
-        g = gains.reshape(3 * n, tile)[:, :nt]
-        for row, (c, m) in zip(g, firsts):
+        # Gamma(m) gain = (log u_1 + ... + log u_m) / -lambda~, summed left to
+        # right over each run of equal m, divided over each run of equal
+        # lambda~
+        for rows, draws, m in sums:
+            g, d = rows[:, :nt], draws[:, :, :nt]
             if m == 1:
-                np.copyto(row, logs[c])
+                np.copyto(g, d[:, 0])
             else:
-                np.add(logs[c], logs[c + 1], out=row)
-                for i in range(c + 2, c + m):
-                    np.add(row, logs[i], out=row)
-        np.divide(g, neg_lam[:, None], out=g)
+                np.add(d[:, 0], d[:, 1], out=g)
+                for i in range(2, m):
+                    np.add(g, d[:, i], out=g)
+        for rows, neg_lam in scales:
+            g = rows[:, :nt]
+            np.divide(g, neg_lam, out=g)
         gs, gd, ge = gains[0, :, :nt], gains[1, :, :nt], gains[2, :, :nt]
 
         # w1 = max(gs - thr, 0); ratio = (1 + w1*gd*e1g) / (1 + w1*ge*e2g),
@@ -168,46 +200,39 @@ def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
         np.equal(w1, 0.0, out=dd)
         np.copyto(r, -1.0, where=dd)
 
-        # SOTS and METS: the first argmax of gd and argmin of ge.  A running
-        # extremum moves only at a strictly better tag, so the pick is the
-        # last tag k where it moved: the max over k of k*moved.  Picks are
-        # kept as flat indices into ratio (tag*tile + trial) for one gather.
-        bt, mk, fl, st = best[:nt], mask[:nt], flat[:, :nt], sel[:, :nt]
-        for p, (key, extremum, better) in enumerate(((gd, np.maximum, np.greater),
-                                                     (ge, np.minimum, np.less))):
-            np.copyto(bt, key[0])
-            fl[p] = 0
-            for k in range(1, n):
-                better(key[k], bt, out=mk)
-                extremum(bt, key[k], out=bt)
-                np.multiply(mk, k * tile, out=moved[:nt])
-                np.maximum(fl[p], moved[:nt], out=fl[p])
-        # RTS: tag min(floor(u*N), N-1) from the last slot of the trial
-        np.multiply(ut[slots - 1], n, out=bt)
-        np.copyto(fl[2], bt, casting="unsafe")
+        # SOTS and METS: the first argmax of gd and argmin of ge, the first
+        # tag equal to the extremum over tags.  Picks are kept as flat
+        # indices into ratio (tag*tile + trial) for one gather.
+        fl, st, wt = flat[:, :nt], sel[:, :nt], weight[:, :nt]
+        best = st[3]   # scratch until the OTS pick is written there
+        for p, (key, extremum) in enumerate(((gd, np.maximum), (ge, np.minimum))):
+            extremum.reduce(key, axis=0, out=best)
+            np.equal(key, best, out=dd)
+            np.multiply(dd, first_weight, out=wt)
+            np.maximum.reduce(wt, axis=0, out=fl[p])
+            np.subtract(n * tile, fl[p], out=fl[p])
+        # RTS: tag min(floor(u*N), N-1) from the last slot of the trial,
+        # scaled in place: the uniform is not read again
+        rts = ut[slots - 1]
+        np.multiply(rts, n, out=rts)
+        np.copyto(fl[2], rts, casting="unsafe")
         np.minimum(fl[2], n - 1, out=fl[2])
         np.multiply(fl[2], tile, out=fl[2])
         np.add(fl, trial_idx[:nt], out=fl)
         np.take(ratio.reshape(-1), fl, out=st[:3])
         # OTS: the first argmax of max(ratio, 1) is the largest ratio when it
         # exceeds 1, else tag 0 (every tag ties at 1)
-        ots = st[3]
-        np.copyto(ots, r[0])
-        for k in range(1, n):
-            np.maximum(ots, r[k], out=ots)
+        ots, mk = st[3], hits[0, :nt]   # mk: scratch until the counts below
+        np.maximum.reduce(r, axis=0, out=ots)
         np.less_equal(ots, 1.0, out=mk)
         np.copyto(ots, r[0], where=mk)
 
-        # dead: ratio -1; powered ratios are >= 0, and 1 <= tau, so each
-        # below-threshold count minus the dead ones is the powered events
+        # column c counts the picked ratios below its bound: the dead ones
+        # (ratio -1) below 0, and below tau and 1 the dead ones as well,
+        # since powered ratios are >= 0; they come off once, after the tiles
         ht = hits[:, :nt]
-        np.less(st, 0.0, out=ht)
-        n_dead = np.count_nonzero(ht, axis=1)
-        counts[:, 0] += n_dead
-        if r_pos:  # tau > 1
-            np.less(st, tau, out=ht)
-            counts[:, 1] += np.count_nonzero(ht, axis=1) - n_dead
-        np.less(st, 1.0, out=ht)
-        counts[:, 2] += np.count_nonzero(ht, axis=1) - n_dead
+        for c, bound in bounds:
+            np.less(st, bound, out=ht)
+            counts[:, c] += [np.count_nonzero(row) for row in ht]
+    counts[:, [c for c, _ in bounds[1:]]] -= counts[:, :1]
     return counts[[0, 1, 3, 2]]   # rows in PROTOCOL_ORDER
-

@@ -8,6 +8,7 @@ reduces to finite sums; non-integer m is rejected at construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -28,8 +29,9 @@ class NakagamiLink:
         if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
             raise ValidationError(f"fading shape m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
+        if not 0 < self.omega <= sys.float_info.max:
+            raise ValidationError(f"omega = m/lambda_tilde must be positive and at most "
+                                  f"{sys.float_info.max:.4g}, got {self.omega}")
         if not self.distance > 0:
             raise ValidationError(f"distance must be positive, got {self.distance}")
         if not self.pathloss_exp > 0:

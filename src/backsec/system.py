@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -76,6 +77,13 @@ class SystemParams:
             _check_links(name, getattr(self, name), self.n_tags)
         if not isinstance(self.eh, EhParams):
             raise ValidationError(f"eh must be EhParams, got {self.eh!r}")
+        phi = self.eh.phi
+        for k, link in enumerate(self.links_of("s")):
+            received = self.p_tx * link.path_gain
+            if not received > 0 or not phi / received <= sys.float_info.max:
+                raise ValidationError(
+                    f"activation threshold phi/(p_tx d_s^-u_s) = {phi}/{received} of tag {k} "
+                    f"must be at most {sys.float_info.max:.4g}")
 
     @property
     def tau(self) -> float:

@@ -85,6 +85,9 @@ class TestNakagamiLink:
             NakagamiLink(m=2, omega=-1.0, distance=1.0, pathloss_exp=2.0)
         with pytest.raises(ValidationError):
             NakagamiLink(m=2, omega=1.0, distance=0.0, pathloss_exp=2.0)
+        # m/1e-310 is past the float range: omega = inf would give lambda~ = 0
+        with pytest.raises(ValidationError, match="omega"):
+            NakagamiLink.from_lambda_tilde(2, 1e-310, 1.0, 2.0)
 
     @pytest.mark.parametrize("distance", [1e-300, 1e300])
     def test_path_gain_outside_float_range_rejected(self, distance):

@@ -78,7 +78,8 @@ TEXT_CHANGES = {
 # the float range, before or after its unit, or a derived value (2^R, d^-u,
 # phi) past it.
 OUT_OF_RANGE_POINTS = ["trials=1e400", "d_d=1e400", "gamma_t=1e400", "gamma_t=4000dB",
-                       "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300"]
+                       "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300",
+                       "lambda_sk=1e-310", "p_tx=1e-320"]
 
 
 def fast_spec(**overrides):

@@ -196,6 +196,17 @@ def _per_tag_source_params():
     return replace(p, link_s=(link_s, replace(link_s, distance=1.5), link_s, link_s))
 
 
+def _split_lambda_params():
+    """N = 4 with m = 2 on every link and lambda~ differing across tags."""
+    base = make_params(gamma_t_db=12.0, n_tags=4, m=2, rate=0.4)
+    link_d = base.links_of("d")[0]
+    link_e = base.links_of("e")[0]
+    return replace(
+        base,
+        link_d=(link_d, replace(link_d, omega=0.5), replace(link_d, omega=0.5), link_d),
+        link_e=(replace(link_e, omega=2.0), link_e, link_e, link_e))
+
+
 class TestSnrModel:
     """The kernel's per-tag ratio is (1 + gamma_d) / (1 + gamma_e) with the
     SNRs of the paper's model, gamma_x = zeta beta* d_s^-u d_x^-u g_s g_x
@@ -224,10 +235,17 @@ class TestTiling:
     """The kernel walks a batch in tiles of _TILE_UNIFORMS // slots
     trials; counts must not depend on where the tile seams fall."""
 
-    @pytest.mark.parametrize("rate", [0.4, 0.0])
+    @pytest.mark.parametrize("p", [
+        pytest.param(_mixed_m_params(0.4), id="0.4"),
+        pytest.param(_mixed_m_params(0.0), id="0.0"),
+        # one run of equal m over all 3N gain rows
+        pytest.param(make_params(gamma_t_db=0.0, n_tags=8, m=3, d_e=2.0, rate=0.4), id="n8m3"),
+        # equal m on every row, lambda~ split within the d and e families
+        pytest.param(_split_lambda_params(), id="split-lambda"),
+    ])
     @pytest.mark.parametrize("tiles, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
-    def test_counts_match_python_replay_across_tile_seams(self, rate, tiles, extra):
-        p = _mixed_m_params(rate)
+    def test_counts_match_python_replay_across_tile_seams(self, p, tiles, extra):
+        rate = p.rate_threshold
         slots = sum(l.m for fam in "sde" for l in p.links_of(fam)) + 1
         tile = _TILE_UNIFORMS // slots
         trials = tiles * tile + extra

@@ -75,6 +75,19 @@ class TestSystemParams:
         with pytest.raises(ValidationError):
             het.eta1
 
+    @pytest.mark.parametrize("d_s", [1e10, 1e50], ids=["overflows", "received-underflows"])
+    def test_infinite_activation_threshold_rejected(self, d_s):
+        # at p_tx = 1e-300, tag 0 (d_s = 1) has a finite threshold; tag 1's
+        # phi/(p_tx d_s^-2) overflows, or p_tx d_s^-2 underflows to 0
+        p = make_params()
+        near = p.links_of("s")[0]
+        far = NakagamiLink(near.m, near.omega, d_s, near.pathloss_exp)
+        fields = dict(gamma_t=p.gamma_t, gamma_p=p.gamma_p, zeta=p.zeta, n_tags=2,
+                      rate_threshold=0.5, link_d=p.link_d, link_e=p.link_e, eh=p.eh)
+        assert SystemParams(p_tx=1e-300, link_s=near, **fields).gain_threshold < math.inf
+        with pytest.raises(ValidationError, match="activation threshold.*tag 1"):
+            SystemParams(p_tx=1e-300, link_s=(near, far), **fields)
+
     def test_invalid_params_rejected(self):
         p = make_params()
         with pytest.raises(ValidationError):
