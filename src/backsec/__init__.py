@@ -14,7 +14,7 @@ from .channel import NakagamiLink
 from .config import SweepSpec, load_config, loads_config
 from .ehmodel import EhParams, harvested_power, optimal_reflection
 from .errors import ConfigParseError, NumericalInstabilityWarning, ValidationError
-from .montecarlo import McConfig, MetricEstimate, estimate_all, ip_mc, sop_mc
+from .montecarlo import McConfig, MetricEstimate, estimate_all
 from .system import ProtocolKind, SystemParams
 
 __all__ = [
@@ -33,14 +33,12 @@ __all__ = [
     "harvested_power",
     "ip_asymptotic",
     "ip_exact",
-    "ip_mc",
     "load_config",
     "loads_config",
     "optimal_reflection",
     "p1",
     "sop_asymptotic",
     "sop_exact",
-    "sop_mc",
 ]
 
 __version__ = "0.1.0"

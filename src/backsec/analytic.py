@@ -30,14 +30,16 @@ the reporting layer only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import NumericalInstabilityWarning
+from .errors import NumericalInstabilityWarning, ValidationError
 from .specfun import (
     CompensatedSum,
     bessel_k,
@@ -145,11 +147,10 @@ def _derived(params: SystemParams) -> _Derived:
     return d
 
 
-def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> float:
-    limit = CANCELLATION_THRESHOLD if threshold is None else threshold
-    if acc.condition > limit:
+def _checked(acc: CompensatedSum, label: str) -> float:
+    if acc.condition > CANCELLATION_THRESHOLD:
         warnings.warn(
-            f"{label}: cancellation ratio {acc.condition:.3g} exceeds {limit:.3g}; "
+            f"{label}: cancellation ratio {acc.condition:.3g} exceeds {CANCELLATION_THRESHOLD:.3g}; "
             "the returned value may be unreliable",
             NumericalInstabilityWarning,
             stacklevel=3,
@@ -158,10 +159,9 @@ def _checked(acc: CompensatedSum, label: str, threshold: Optional[float]) -> flo
 
 
 def _checked_sum(d: _Derived, key: tuple, label: str, pairs: Callable[[], Iterable],
-                 threshold: Optional[float], breakdown: dict) -> float:
+                 breakdown: dict) -> float:
     """The Neumaier sum of the (label, term) pairs that pairs() yields, built
-    once per key; every use copies the pairs into breakdown and checks the sum
-    against threshold."""
+    once per key; every use copies the pairs into breakdown and checks the sum."""
     def build():
         built = tuple(pairs())
         acc = CompensatedSum()
@@ -170,7 +170,7 @@ def _checked_sum(d: _Derived, key: tuple, label: str, pairs: Callable[[], Iterab
 
     acc, built = d.memo(key, build)
     breakdown.update(built)
-    return _checked(acc, label, threshold)
+    return _checked(acc, label)
 
 
 def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
@@ -178,8 +178,8 @@ def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> fl
     2 (q/p)^(alpha/2) K_alpha(2 sqrt(pq)), with K_alpha = K_|alpha| taken from
     k_orders, or Gamma(alpha)/p^alpha at q=0."""
     if q == 0.0:
-        if alpha <= 0:
-            raise ValueError("q=0 requires alpha >= 1")
+        if alpha <= 0:  # only reached when q underflowed to 0
+            raise OverflowError(f"the integral of order {alpha} diverges at q = 0")
         return math.exp(math.lgamma(alpha) - alpha * math.log(p))
     return 2.0 * (q / p) ** (alpha / 2.0) * k_orders[abs(alpha)]
 
@@ -189,6 +189,8 @@ def _bessel_table(d: _Derived, t1: int, x: float) -> tuple:
     base and its own upward recurrence.  The W1 tails of theta1 = t1 have
     k >= -theta2 >= -(md-1) t1, so n = max((md-1) t1 - 1, ms) is the highest
     order any of them asks for."""
+    if x == 0.0:  # only reached when lam_s * q underflowed to 0
+        raise OverflowError("K_n diverges at a Bessel argument that underflowed to 0")
     ks = [bessel_k(0, x), bessel_k(1, x)]
     for j in range(1, max((d.md - 1) * t1 - 1, d.ms)):
         ks.append(ks[j - 1] + (2.0 * j / x) * ks[j])
@@ -224,7 +226,7 @@ def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
                     - (d.me + q) * math.log(d.lam_e + rate_shift))
 
 
-def _w3_min_moments(d: _Derived, rate_shift: float, threshold: Optional[float]) -> list:
+def _w3_min_moments(d: _Derived, rate_shift: float) -> list:
     """The moments q = 0..md-1 against the minimum-order-statistic density
     of the eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
 
@@ -252,7 +254,7 @@ def _w3_min_moments(d: _Derived, rate_shift: float, threshold: Optional[float]) 
             accs.append(acc)
         return accs
 
-    return [_checked(acc, "weakest-eavesdropper moment", threshold)
+    return [_checked(acc, "weakest-eavesdropper moment")
             for acc in d.memo(("min_moments", rate_shift), build)]
 
 
@@ -274,11 +276,10 @@ def _w3_min_rows(d: _Derived) -> tuple:
     return d.memo(("min_rows",), build)
 
 
-def _w3_moments(d: _Derived, rate_shift: float, threshold: Optional[float],
-                minimum_stat: bool) -> Sequence[float]:
+def _w3_moments(d: _Derived, rate_shift: float, minimum_stat: bool) -> Sequence[float]:
     """W3 moments q = 0..md-1; against the weakest of n if minimum_stat."""
     if minimum_stat:
-        return _w3_min_moments(d, rate_shift, threshold)
+        return _w3_min_moments(d, rate_shift)
     return d.memo(("moments", rate_shift), lambda: tuple(
         _w3_moment(d, q, rate_shift) for q in range(d.md)))
 
@@ -290,7 +291,14 @@ def p1(params: SystemParams) -> float:
     return reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
 
 
-def _cmp_max(d: _Derived, x: float, threshold: Optional[float], breakdown: dict) -> float:
+def _poisson_weights(d: _Derived) -> tuple:
+    """lam_d^j / j!, j = 0..md-1, with j! a running float product: the weights
+    of the single-destination CDF."""
+    return d.memo(("poisson",), lambda: tuple(d.lam_d ** j / f for j, f in enumerate(
+        itertools.accumulate(range(1, d.md), operator.mul, initial=1.0))))
+
+
+def _cmp_max(d: _Derived, x: float, breakdown: dict) -> float:
     """P(max of n destination gains < x * W3), one term per composition."""
     def pairs():
         w3 = {}
@@ -301,27 +309,33 @@ def _cmp_max(d: _Derived, x: float, threshold: Optional[float], breakdown: dict)
             x_pow, moment = w3[t1, t2]
             yield label, value * x_pow * moment
 
-    return _checked_sum(d, ("max", x), "best-destination comparison", pairs,
-                        threshold, breakdown)
+    return _checked_sum(d, ("max", x), "best-destination comparison", pairs, breakdown)
 
 
-def _cmp_single(d: _Derived, x: float, threshold: Optional[float] = None,
-                breakdown: Optional[dict] = None, minimum_stat: bool = False) -> float:
+def _cmp_single(d: _Derived, x: float, breakdown: Optional[dict] = None,
+                minimum_stat: bool = False) -> float:
     """P(single destination gain < x * W3); W3 is the weakest of n if minimum_stat."""
-    moments = _w3_moments(d, d.lam_d * x, threshold, minimum_stat)
+    moments = _w3_moments(d, d.lam_d * x, minimum_stat)
     total = 0.0
-    fact = 1.0
-    for j in range(d.md):
-        if j > 0:
-            fact *= j
-        term = (d.lam_d ** j / fact) * x ** j * moments[j]
+    for j, weight in enumerate(_poisson_weights(d)):
+        term = weight * x ** j * moments[j]
         total += term
         if breakdown is not None:
             breakdown[f"j={j}"] = term
     return 1.0 - total
 
 
-def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
+def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> float:
+    """sum_q C(power, q) B^q A^(power-q) I(t1, q - power) moments[q], with I the
+    W1 tail integral: the binomial q-sum of every outage-tail term."""
+    inner = 0.0
+    for q in range(power + 1):
+        inner += (math.comb(power, q) * d.cap_b ** q * d.cap_a ** (power - q)
+                  * _w1_tail_integral(d, t1, q - power) * moments[q])
+    return inner
+
+
+def _sots_p2(d: _Derived, breakdown: dict) -> float:
     """One term per composition; its inner q-sum depends on the composition
     only through (theta1, theta2), so each such sum is evaluated once."""
     def pairs():
@@ -329,43 +343,29 @@ def _sots_p2(d: _Derived, threshold: Optional[float], breakdown: dict) -> float:
         labels = d.term_labels(d.n, d.md, d.lam_d)
         for label, (_, (value, t1, t2)) in zip(labels, d.expansion(d.n, d.md, d.lam_d)):
             if (t1, t2) not in inners:
-                inner = 0.0
-                for q in range(t2 + 1):
-                    if (t1, q) not in w3:
-                        w3[t1, q] = _w3_moment(d, q, d.lam_d * t1 * d.cap_b)
-                    inner += (math.comb(t2, q) * d.cap_b ** q * d.cap_a ** (t2 - q)
-                              * _w1_tail_integral(d, t1, q - t2) * w3[t1, q])
-                inners[t1, t2] = inner
+                moments = w3.setdefault(t1, [])
+                for q in range(len(moments), t2 + 1):
+                    moments.append(_w3_moment(d, q, d.lam_d * t1 * d.cap_b))
+                inners[t1, t2] = _tail_inner(d, t1, t2, moments)
             yield "p2." + label, value * inners[t1, t2]
 
-    return _checked_sum(d, ("sots_p2",), "best-destination outage tail", pairs,
-                        threshold, breakdown)
+    return _checked_sum(d, ("sots_p2",), "best-destination outage tail", pairs, breakdown)
 
 
-def _single_tail(d: _Derived, threshold: Optional[float], breakdown: dict,
-                 minimum_stat: bool = False) -> float:
+def _single_tail(d: _Derived, breakdown: dict, minimum_stat: bool = False) -> float:
     """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
     # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
-    w3 = _w3_moments(d, d.lam_d * d.cap_b, threshold, minimum_stat)
+    w3 = _w3_moments(d, d.lam_d * d.cap_b, minimum_stat)
 
     def pairs():
-        fact = 1.0
-        for j in range(d.md):
-            if j > 0:
-                fact *= j
-            inner = 0.0
-            for q in range(j + 1):
-                inner += (math.comb(j, q) * d.cap_b ** q * d.cap_a ** (j - q)
-                          * _w1_tail_integral(d, 1, q - j) * w3[q])
-            yield f"tail.j={j}", (d.lam_d ** j / fact) * inner
+        for j, weight in enumerate(_poisson_weights(d)):
+            yield f"tail.j={j}", weight * _tail_inner(d, 1, j, w3)
 
-    return _checked_sum(d, ("tail", minimum_stat), "survival tail", pairs,
-                        threshold, breakdown)
+    return _checked_sum(d, ("tail", minimum_stat), "survival tail", pairs, breakdown)
 
 
-def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
-                     threshold: Optional[float]) -> tuple[float, dict]:
+def _build_exact_sop(protocol: ProtocolKind, params: SystemParams) -> tuple[float, dict]:
     d = _derived(params)
     p1_val = reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
     breakdown: dict = {"p1": p1_val}
@@ -378,42 +378,40 @@ def _build_exact_sop(protocol: ProtocolKind, params: SystemParams,
     if d.tau == 1.0:
         # 0 < R but 2^R rounds to 1, so A = 0: the outage event is the
         # intercept event
-        return _build_exact_ip(protocol, params, threshold)
+        return _build_exact_ip(protocol, params)
 
     if protocol is ProtocolKind.SOTS:
-        p2 = _sots_p2(d, threshold, breakdown)
+        p2 = _sots_p2(d, breakdown)
         breakdown["p2"] = p2
         return p1_val + p2, breakdown
 
     if protocol is ProtocolKind.METS:
-        tail = _single_tail(d, threshold, breakdown, minimum_stat=True)
+        tail = _single_tail(d, breakdown, minimum_stat=True)
         breakdown["p2"] = 1.0 - p1_val - tail
         return 1.0 - tail, breakdown
 
     # OTS / RTS build on the single-tag outage.
-    tail = _single_tail(d, threshold, breakdown)
+    tail = _single_tail(d, breakdown)
     single = 1.0 - tail
     breakdown["single_tag_sop"] = single
+    breakdown["p2"] = single - p1_val
     if protocol is ProtocolKind.OTS:
-        breakdown["p2"] = single - p1_val
         return single ** d.n, breakdown
     if protocol is ProtocolKind.RTS:
-        breakdown["p2"] = single - p1_val
         return single, breakdown
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
-                    threshold: Optional[float]) -> tuple[float, dict]:
+def _build_exact_ip(protocol: ProtocolKind, params: SystemParams) -> tuple[float, dict]:
     d = _derived(params)
     x = d.lam_s * d.a
     p1_val, survive = reg_lower_inc_gamma(d.ms, x), reg_upper_inc_gamma(d.ms, x)
     breakdown: dict = {"p1": p1_val}
 
     if protocol is ProtocolKind.SOTS:
-        cmp_val = _cmp_max(d, d.c, threshold, breakdown)
+        cmp_val = _cmp_max(d, d.c, breakdown)
     elif protocol is ProtocolKind.METS:
-        cmp_val = _cmp_single(d, d.c, threshold, breakdown, minimum_stat=True)
+        cmp_val = _cmp_single(d, d.c, breakdown, minimum_stat=True)
     else:
         cmp_val = _cmp_single(d, d.c)
     breakdown["p3"] = survive * cmp_val
@@ -425,8 +423,8 @@ def _build_exact_ip(protocol: ProtocolKind, params: SystemParams,
     return single, breakdown
 
 
-def _build_asymptotic(protocol: ProtocolKind, params: SystemParams, metric: str,
-                      threshold: Optional[float]) -> tuple[float, dict]:
+def _build_asymptotic(protocol: ProtocolKind, params: SystemParams,
+                      metric: str) -> tuple[float, dict]:
     d = _derived(params)
     breakdown: dict = {"p1": 0.0}
     if metric == "sop" and params.rate_threshold == 0.0:
@@ -435,9 +433,9 @@ def _build_asymptotic(protocol: ProtocolKind, params: SystemParams, metric: str,
     x = d.cap_b if metric == "sop" else d.c
 
     if protocol is ProtocolKind.SOTS:
-        val = _cmp_max(d, x, threshold, breakdown)
+        val = _cmp_max(d, x, breakdown)
     elif protocol is ProtocolKind.METS:
-        val = _cmp_single(d, x, threshold, breakdown, minimum_stat=True)
+        val = _cmp_single(d, x, breakdown, minimum_stat=True)
     else:
         single = _cmp_single(d, x)
         breakdown["single_tag"] = single
@@ -445,30 +443,34 @@ def _build_asymptotic(protocol: ProtocolKind, params: SystemParams, metric: str,
     return val, breakdown
 
 
-def sop_exact(protocol: ProtocolKind, params: SystemParams,
-              cancellation_threshold: Optional[float] = None) -> ClosedFormReport:
+def _report(kind: str, protocol: ProtocolKind, build: Callable[[], tuple]) -> ClosedFormReport:
+    """The report of build()'s (raw, breakdown); an intermediate that leaves the
+    float range (an overflow, or a divisor that underflowed to 0) is a ValidationError."""
+    try:
+        raw, breakdown = build()
+    except ArithmeticError as exc:
+        raise ValidationError(
+            f"{kind} ({protocol.value}) cannot be evaluated here: an intermediate "
+            f"term leaves the float range (largest float {sys.float_info.max:.4g})") from exc
+    return ClosedFormReport.build(raw, protocol, kind, breakdown)
+
+
+def sop_exact(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """Exact secrecy outage probability for the given selection rule."""
-    raw, breakdown = _build_exact_sop(protocol, params, cancellation_threshold)
-    return ClosedFormReport.build(raw, protocol, "exact_sop", breakdown)
+    return _report("exact_sop", protocol, lambda: _build_exact_sop(protocol, params))
 
 
-def ip_exact(protocol: ProtocolKind, params: SystemParams,
-             cancellation_threshold: Optional[float] = None) -> ClosedFormReport:
+def ip_exact(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """Exact intercept probability (dead tag, or eavesdropper SNR above the
     destination's) for the given selection rule."""
-    raw, breakdown = _build_exact_ip(protocol, params, cancellation_threshold)
-    return ClosedFormReport.build(raw, protocol, "exact_ip", breakdown)
+    return _report("exact_ip", protocol, lambda: _build_exact_ip(protocol, params))
 
 
-def sop_asymptotic(protocol: ProtocolKind, params: SystemParams,
-                   cancellation_threshold: Optional[float] = None) -> ClosedFormReport:
+def sop_asymptotic(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """High-transmit-power SOP limit; independent of gamma_t by construction."""
-    raw, breakdown = _build_asymptotic(protocol, params, "sop", cancellation_threshold)
-    return ClosedFormReport.build(raw, protocol, "asymptotic_sop", breakdown)
+    return _report("asymptotic_sop", protocol, lambda: _build_asymptotic(protocol, params, "sop"))
 
 
-def ip_asymptotic(protocol: ProtocolKind, params: SystemParams,
-                  cancellation_threshold: Optional[float] = None) -> ClosedFormReport:
+def ip_asymptotic(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """High-transmit-power IP limit; independent of gamma_t by construction."""
-    raw, breakdown = _build_asymptotic(protocol, params, "ip", cancellation_threshold)
-    return ClosedFormReport.build(raw, protocol, "asymptotic_ip", breakdown)
+    return _report("asymptotic_ip", protocol, lambda: _build_asymptotic(protocol, params, "ip"))

@@ -14,5 +14,5 @@ class ConfigParseError(ValueError):
 
 
 class NumericalInstabilityWarning(UserWarning):
-    """An alternating sum lost more relative precision than the configured
-    cancellation threshold allows; the returned value is suspect."""
+    """An alternating sum lost more relative precision than
+    analytic.CANCELLATION_THRESHOLD allows; the returned value is suspect."""

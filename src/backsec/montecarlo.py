@@ -10,7 +10,6 @@ number of workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from ._kernels import batch_seed, mc_batch
 from .errors import ValidationError
 from .system import ProtocolKind, SystemParams
 
-__all__ = ["McConfig", "MetricEstimate", "PROTOCOL_ORDER", "estimate_all", "ip_mc", "sop_mc"]
+__all__ = ["McConfig", "MetricEstimate", "PROTOCOL_ORDER", "estimate_all"]
 
 PROTOCOL_ORDER = (ProtocolKind.SOTS, ProtocolKind.METS, ProtocolKind.OTS, ProtocolKind.RTS)
 
@@ -91,11 +90,19 @@ def _run_counts(params: SystemParams, mc: McConfig) -> np.ndarray:
 
     def one(b: int) -> np.ndarray:
         size = min(mc.batch_size, mc.trials - b * mc.batch_size)
-        return mc_batch(batch_seed(mc.seed, b), size, *args)
+        # an SNR that overflows to inf still compares exactly; inf/inf does not.
+        # numpy error modes are per thread, so each batch sets its own
+        try:
+            with np.errstate(over="ignore", invalid="raise"):
+                return mc_batch(batch_seed(mc.seed, b), size, *args)
+        except FloatingPointError as exc:
+            raise ValidationError("Monte Carlo cannot be evaluated here: a trial's SNRs "
+                                  "leave the float range and their ratio is undefined") from exc
 
     if mc.workers == 1 or n_batches == 1:
         parts = [one(b) for b in range(n_batches)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:
             parts = list(pool.map(one, range(n_batches)))
 
@@ -122,14 +129,3 @@ def estimate_all(params: SystemParams, mc: McConfig) -> dict:
         out[(proto, "ip")] = _estimate(counts[i], "ip", mc.trials)
     return out
 
-
-def sop_mc(protocol: ProtocolKind, params: SystemParams, mc: McConfig) -> MetricEstimate:
-    """Monte Carlo secrecy outage probability for one protocol."""
-    counts = _run_counts(params, mc)
-    return _estimate(counts[PROTOCOL_ORDER.index(protocol)], "sop", mc.trials)
-
-
-def ip_mc(protocol: ProtocolKind, params: SystemParams, mc: McConfig) -> MetricEstimate:
-    """Monte Carlo intercept probability for one protocol."""
-    counts = _run_counts(params, mc)
-    return _estimate(counts[PROTOCOL_ORDER.index(protocol)], "ip", mc.trials)

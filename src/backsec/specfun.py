@@ -68,6 +68,8 @@ def _check_inc_gamma_args(m: float, x: float) -> None:
         raise ValueError(f"shape must be positive, got {m}")
     if not x >= 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
+    if x == math.inf:
+        raise OverflowError("incomplete gamma argument is outside the float range")
 
 
 def reg_lower_inc_gamma(m: float, x: float) -> float:
@@ -172,6 +174,8 @@ def bessel_k(order: int, x: float) -> float:
     """
     if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
+    if x == math.inf:
+        raise OverflowError("bessel_k argument is outside the float range")
     n = int(order)
     if n != order:
         raise ValueError(f"bessel_k order must be an integer, got {order!r}")

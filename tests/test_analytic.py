@@ -294,11 +294,25 @@ class TestReportMechanics:
                 analytic.p1(het)
         assert vars(het) == before
 
-    def test_instability_warning_raised_at_tight_threshold(self):
+    @pytest.mark.parametrize("form", ["sop_exact", "sop_asymptotic", "ip_exact",
+                                      "ip_asymptotic"])
+    def test_overflow_is_a_validation_error(self, form):
+        # 2^R = tau near 2^345 takes B^q past the largest float in every
+        # SOP form; the IP forms do not read tau
+        p = make_params(rate=345.0)
+        for _ in range(2):  # a failed build publishes nothing, so it fails again
+            if form.startswith("sop"):
+                with pytest.raises(ValidationError, match=r"\(sots\).*1\.798e\+308"):
+                    getattr(analytic, form)(ProtocolKind.SOTS, p)
+            else:
+                assert 0.0 <= getattr(analytic, form)(ProtocolKind.SOTS, p).value <= 1.0
+
+    def test_instability_warning_raised_at_tight_threshold(self, monkeypatch):
         p = make_params(n_tags=4, m=3)
+        monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            analytic.sop_exact(ProtocolKind.SOTS, p, cancellation_threshold=1.0)
+            analytic.sop_exact(ProtocolKind.SOTS, p)
         assert any(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
 
     def test_no_warning_at_default_threshold(self):
@@ -490,11 +504,11 @@ METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
 ORDER = [(form, proto) for form in FORMS for proto in ProtocolKind]
 
 
-def _observed(form, proto, params, threshold=None):
+def _observed(form, proto, params):
     """(raw_value repr, term_breakdown, instability warning count) of one form."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = getattr(analytic, form)(proto, params, cancellation_threshold=threshold)
+        report = getattr(analytic, form)(proto, params)
     flags = sum(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
     return repr(report.raw_value), dict(report.term_breakdown), flags
 
@@ -530,12 +544,17 @@ class TestSharedDerivedTerms:
     ], ids=["sop_exact-ProtocolKind.SOTS", "sop_exact-ProtocolKind.METS",
             "ip_asymptotic-ProtocolKind.METS", "ip_exact-then-ip_asymptotic-ProtocolKind.SOTS",
             "sop_exact-ProtocolKind.OTS-then-RTS"])
-    def test_threshold_applies_per_call(self, first, second, tight):
+    def test_threshold_applies_per_call(self, first, second, tight, monkeypatch):
+        # the memo keeps values, never verdicts: each use reads the threshold anew
+        default = analytic.CANCELLATION_THRESHOLD
         params = make_params(n_tags=4, m=3)
         assert _observed(*first, params)[2] == 0
-        assert _observed(*second, params, threshold=tight)[2] > 0
+        monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", tight)
+        assert _observed(*second, params)[2] > 0
+        monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", default)
         assert _observed(*second, params)[2] == 0
-        assert _observed(*first, params, threshold=tight)[2] > 0
+        monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", tight)
+        assert _observed(*first, params)[2] > 0
 
     def test_probe_premise_every_specfun_name_is_called(self, monkeypatch):
         # perfbench/probes.py times the specfun calls that the 16 forms make

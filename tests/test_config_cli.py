@@ -1,5 +1,7 @@
 """Config parsing, presets, CSV sweeps, and CLI exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,8 +9,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from backsec import cli
+from backsec import cli, config
 from backsec.channel import NakagamiLink
 from backsec.config import (
     SweepSpec,
@@ -77,9 +81,46 @@ TEXT_CHANGES = {
 # Entries the CLI must reject with exit code 2, not a traceback: a number past
 # the float range, before or after its unit, or a derived value (2^R, d^-u,
 # phi) past it.
-OUT_OF_RANGE_POINTS = ["trials=1e400", "d_d=1e400", "gamma_t=1e400", "gamma_t=4000dB",
-                       "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300",
-                       "lambda_sk=1e-310", "p_tx=1e-320"]
+N4M3 = "n_tags=4 m_sk=3 m_kd=3 m_ke=3 "
+OUT_OF_RANGE_POINTS = [
+    "trials=1e400", "d_d=1e400", "gamma_t=1e400", "gamma_t=4000dB",
+    "rate=1100", "d_d=1e-300m", "d_d=1e300m", "xi1=1e300",
+    "lambda_sk=1e-310", "p_tx=1e-320",
+    # accepted inputs whose closed-form intermediates leave the float range
+    "rate=345", "lambda_sk=1e-200", "lambda_kd=1e300", "lambda_ke=1e200",
+    "gamma_t=1e-200", "gamma_p=1e200", "zeta=1e-200", "d_s=1e100", "d_d=1e100",
+    "d_e=1e-100", N4M3 + "p_tx=1e-200", N4M3 + "xi1=1e-200",
+    # ... by a divisor that underflows to 0, by an infinite special-function
+    # argument, by a W1 tail coefficient and by a Bessel argument that
+    # underflow to 0
+    "n_tags=1 zeta=6e-298 d_d=2e147",
+    "n_tags=4 m_sk=1 m_kd=1 m_ke=1 xi1=6.5e-270 lambda_sk=5.1e225",
+    "n_tags=1 m_sk=3 m_kd=3 m_ke=3 lambda_sk=1.7e283 gamma_t=1.56e-44",
+    "n_tags=2 m_sk=3 m_kd=3 m_ke=3 d_d=4.27e-44 gamma_t=1.04e263",
+    "n_tags=3 m_sk=1 m_kd=1 m_ke=1 lambda_sk=6e-270 lambda_kd=1.4e-119",
+    # simulated SNRs whose ratio is inf/inf
+    "n_tags=2 m_sk=1 m_kd=1 m_ke=1 zeta=1e274 gamma_t=1e284",
+]
+
+# keys whose values the property test keeps small: N <= 4, m <= 3
+SMALL_INT_KEYS = {"n_tags": 4, "m_sk": 3, "m_kd": 3, "m_ke": 3}
+
+
+@st.composite
+def oracle_points(draw):
+    """--point entries: fixed p_c and shapes, then one or two keys of the
+    config grammar with values log-uniform over the float range."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    point = ["p_c=100uW", f"n_tags={n}", f"m_sk={m}", f"m_kd={m}", f"m_ke={m}"]
+    keys = draw(st.lists(st.sampled_from(sorted(config._KEYS)), min_size=1, max_size=2,
+                         unique=True))
+    for key in keys:
+        if key in SMALL_INT_KEYS:
+            value = draw(st.integers(0, SMALL_INT_KEYS[key]))
+        else:
+            value = 10.0 ** draw(st.floats(-310.0, 308.0))
+        point.append(f"{key}={value!r}")
+    return point
 
 
 def fast_spec(**overrides):
@@ -376,8 +417,24 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
     def test_out_of_range_point_exits_2(self, entry, capsys):
-        assert cli.main(["oracle", "--point", "p_c=100uW", entry, "--trials", "1000"]) == 2
+        argv = ["oracle", "--point", "p_c=100uW", *entry.split(), "--trials", "1000"]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_sweep_point_that_overflows_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(MINIMAL + "axis = rate\naxis_values = 0.5, 345\nmethods = exact\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exact_sop (sots)") and "1.798e+308" in err
+        assert not out.exists()  # nothing is written unless every point succeeded
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(point=oracle_points())
+    def test_any_point_exits_0_2_or_3(self, point):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["oracle", "--point", *point, "--trials", "200"]) in (0, 2, 3)
 
     @pytest.mark.parametrize("values", ["0, inf", "0, 4000"])
     def test_out_of_range_axis_exits_2(self, values, tmp_path, capsys):

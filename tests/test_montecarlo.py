@@ -24,8 +24,6 @@ from backsec.montecarlo import (
     PROTOCOL_ORDER,
     _kernel_args,
     estimate_all,
-    ip_mc,
-    sop_mc,
 )
 from backsec.system import ProtocolKind, SystemParams
 
@@ -137,7 +135,6 @@ class TestBackendChoice:
             warnings.simplefilter("error", RuntimeWarning)
             assert resolve_backend() == "numpy"
             estimate_all(make_params(), McConfig(trials=2_000, seed=1))
-            sop_mc(ProtocolKind.SOTS, make_params(), McConfig(trials=2_000, seed=1))
 
     def test_stale_backend_setting_is_ignored(self, monkeypatch):
         p = make_params(gamma_t_db=15.0, n_tags=3)
@@ -289,7 +286,7 @@ class TestWorkspace:
 class TestStatisticalSanity:
     def test_zero_rate_reduces_to_dead_tag_probability(self):
         p = make_params(gamma_t_db=0.0, rate=0.0)
-        est = sop_mc(ProtocolKind.RTS, p, McConfig(trials=300_000, seed=6))
+        est = estimate_all(p, McConfig(trials=300_000, seed=6))[(ProtocolKind.RTS, "sop")]
         p1v = analytic.p1(p)
         assert abs(est.p_hat - p1v) <= 3 * est.stderr
         assert est.n_case2 == 0
@@ -317,7 +314,7 @@ class TestStatisticalSanity:
 
     def test_symmetric_links_make_rts_intercept_a_coin_flip(self):
         p = make_params(gamma_t_db=60.0, lam_e_db=3.0, d_e=2.0)
-        est = ip_mc(ProtocolKind.RTS, p, McConfig(trials=200_000, seed=3))
+        est = estimate_all(p, McConfig(trials=200_000, seed=3))[(ProtocolKind.RTS, "ip")]
         assert abs(est.p_hat - 0.5) <= 4 * est.stderr
 
     def test_ots_dominates_on_shared_draws(self):
@@ -334,18 +331,26 @@ class TestStatisticalSanity:
 class TestEstimateApi:
     def test_stderr_formula(self):
         p = make_params(gamma_t_db=10.0)
-        est = sop_mc(ProtocolKind.SOTS, p, McConfig(trials=50_000, seed=9))
+        est = estimate_all(p, McConfig(trials=50_000, seed=9))[(ProtocolKind.SOTS, "sop")]
         expected = math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials)
         assert est.stderr == pytest.approx(expected, rel=1e-12)
         assert est.p_hat == (est.n_case1 + est.n_case2) / est.trials
         assert est.breakdown == {"case1": est.n_case1, "case2": est.n_case2}
 
-    def test_single_protocol_helpers_match_bulk(self):
-        p = make_params(gamma_t_db=10.0)
-        mc = McConfig(trials=50_000, seed=12)
-        bulk = estimate_all(p, mc)
-        assert sop_mc(ProtocolKind.METS, p, mc) == bulk[(ProtocolKind.METS, "sop")]
-        assert ip_mc(ProtocolKind.OTS, p, mc) == bulk[(ProtocolKind.OTS, "ip")]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_undefined_snr_ratio_is_a_validation_error(self, workers):
+        # zeta * gamma_t overflows both SNR scales, so a powered tag's ratio
+        # is inf/inf; numpy error modes must reach pool threads as well
+        p = make_params(gamma_t_db=2840.0, zeta=1e274, n_tags=2, m=1)
+        with pytest.raises(ValidationError, match="Monte Carlo.*float range"):
+            estimate_all(p, McConfig(trials=2_000, batch_size=500, workers=workers))
+
+    def test_snr_that_overflows_to_inf_still_counts(self):
+        # a vanishing eavesdropper rate makes its SNR inf: an exact comparison,
+        # no warning, and every trial an outage and an intercept
+        p = make_params(n_tags=1, m=1, lam_e_db=-2632.0, d_s=6.5e-43)
+        est = estimate_all(p, McConfig(trials=2_000, seed=1))
+        assert {e.p_hat for e in est.values()} == {1.0}
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -363,12 +368,12 @@ class TestRegressionFixtures:
 
     def test_sots_sop_reference_point(self):
         p = make_params(gamma_t_db=30.0, n_tags=3, m=2)
-        est = sop_mc(ProtocolKind.SOTS, p, McConfig(trials=200_000, seed=20240601))
+        est = estimate_all(p, McConfig(trials=200_000, seed=20240601))[(ProtocolKind.SOTS, "sop")]
         assert est.p_hat == pytest.approx(0.005035, abs=1e-12)
         assert (est.n_case1, est.n_case2) == (1, 1006)
 
     def test_ots_ip_reference_point(self):
         p = make_params(gamma_t_db=30.0, n_tags=4, m=2)
-        est = ip_mc(ProtocolKind.OTS, p, McConfig(trials=200_000, seed=20240601))
+        est = estimate_all(p, McConfig(trials=200_000, seed=20240601))[(ProtocolKind.OTS, "ip")]
         assert est.p_hat == pytest.approx(5e-06, abs=1e-12)
         assert (est.n_case1, est.n_case2) == (0, 1)

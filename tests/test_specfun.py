@@ -42,6 +42,18 @@ def test_nan_argument_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: reg_lower_inc_gamma(2.0, math.inf),
+    lambda: reg_upper_inc_gamma(2.0, math.inf),
+    lambda: bessel_k(0, math.inf),
+], ids=["lower-x", "upper-x", "bessel-x"])
+def test_infinite_argument_is_an_overflow(call):
+    # an infinite argument is an intermediate that overflowed: name it so,
+    # rather than run a continued fraction that cannot converge
+    with pytest.raises(OverflowError):
+        call()
+
+
 class TestRegLowerIncGamma:
     def test_at_zero(self):
         assert reg_lower_inc_gamma(3.0, 0.0) == 0.0
