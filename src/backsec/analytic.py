@@ -68,24 +68,22 @@ CANCELLATION_THRESHOLD = 1e12
 @dataclass(frozen=True)
 class ClosedFormReport:
     """One evaluated closed form: clamped value for reporting, raw value for
-    diagnosing formula trouble, and the named partial sums it was built from."""
+    diagnosing formula trouble, and the named partial sums it was built from.
+
+    Every term_breakdown has ``p1``, the dead-tag probability (0.0 in the
+    asymptotes), and ``single_tag``, the value of the one tag the rule selects
+    (of any one tag for OTS): raw_value is single_tag, or single_tag ** n for
+    OTS.  Exact SOP adds ``p2``, single_tag less p1, with its terms
+    (``p2.comp…`` for SOTS, ``tail.j=…`` otherwise); exact IP adds ``p3``, with
+    single_tag = p1 + p3; exact IP and the asymptotes add their comparison
+    terms (``comp…`` for SOTS, ``j=…`` otherwise).  The R = 0 SOP has only p1
+    and p2 = 0.0; an exact SOP with 2^R == 1 has the parts of the exact IP."""
 
     value: float
     raw_value: float
     protocol: ProtocolKind
     kind: str  # exact_sop | exact_ip | asymptotic_sop | asymptotic_ip
     term_breakdown: Mapping[str, float]
-
-    @classmethod
-    def build(cls, raw: float, protocol: ProtocolKind, kind: str,
-              breakdown: dict) -> "ClosedFormReport":
-        return cls(
-            value=min(max(raw, 0.0), 1.0),
-            raw_value=raw,
-            protocol=protocol,
-            kind=kind,
-            term_breakdown=MappingProxyType(dict(breakdown)),
-        )
 
 
 class _Derived:
@@ -312,16 +310,13 @@ def _cmp_max(d: _Derived, x: float, breakdown: dict) -> float:
     return _checked_sum(d, ("max", x), "best-destination comparison", pairs, breakdown)
 
 
-def _cmp_single(d: _Derived, x: float, breakdown: Optional[dict] = None,
-                minimum_stat: bool = False) -> float:
+def _cmp_single(d: _Derived, x: float, breakdown: dict, minimum_stat: bool) -> float:
     """P(single destination gain < x * W3); W3 is the weakest of n if minimum_stat."""
     moments = _w3_moments(d, d.lam_d * x, minimum_stat)
     total = 0.0
     for j, weight in enumerate(_poisson_weights(d)):
-        term = weight * x ** j * moments[j]
+        term = breakdown[f"j={j}"] = weight * x ** j * moments[j]
         total += term
-        if breakdown is not None:
-            breakdown[f"j={j}"] = term
     return 1.0 - total
 
 
@@ -352,7 +347,7 @@ def _sots_p2(d: _Derived, breakdown: dict) -> float:
     return _checked_sum(d, ("sots_p2",), "best-destination outage tail", pairs, breakdown)
 
 
-def _single_tail(d: _Derived, breakdown: dict, minimum_stat: bool = False) -> float:
+def _single_tail(d: _Derived, breakdown: dict, minimum_stat: bool) -> float:
     """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
     eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
     # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
@@ -365,112 +360,75 @@ def _single_tail(d: _Derived, breakdown: dict, minimum_stat: bool = False) -> fl
     return _checked_sum(d, ("tail", minimum_stat), "survival tail", pairs, breakdown)
 
 
-def _build_exact_sop(protocol: ProtocolKind, params: SystemParams) -> tuple[float, dict]:
-    d = _derived(params)
-    p1_val = reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
-    breakdown: dict = {"p1": p1_val}
-
-    if params.rate_threshold == 0.0:
-        # Capacity is clamped at zero, so it can never fall below R = 0; only
-        # the dead-tag event remains.
-        breakdown["p2"] = 0.0
-        return p1_val, breakdown
-    if d.tau == 1.0:
-        # 0 < R but 2^R rounds to 1, so A = 0: the outage event is the
-        # intercept event
-        return _build_exact_ip(protocol, params)
-
+def _single(d: _Derived, protocol: ProtocolKind, kind: str, breakdown: dict) -> float:
+    """The SOP or IP of the one tag the rule selects, or for OTS of any one tag
+    (OTS fails only when every tag does).  SOTS reads the best of n destination
+    gains, METS the weakest of n eavesdropper gains, OTS and RTS one tag."""
+    if kind == "exact_sop":
+        if protocol is ProtocolKind.SOTS:
+            p2 = breakdown["p2"] = _sots_p2(d, breakdown)
+            return breakdown["p1"] + p2
+        single = 1.0 - _single_tail(d, breakdown, protocol is ProtocolKind.METS)
+        breakdown["p2"] = single - breakdown["p1"]
+        return single
+    x = d.cap_b if kind == "asymptotic_sop" else d.c
     if protocol is ProtocolKind.SOTS:
-        p2 = _sots_p2(d, breakdown)
-        breakdown["p2"] = p2
-        return p1_val + p2, breakdown
-
-    if protocol is ProtocolKind.METS:
-        tail = _single_tail(d, breakdown, minimum_stat=True)
-        breakdown["p2"] = 1.0 - p1_val - tail
-        return 1.0 - tail, breakdown
-
-    # OTS / RTS build on the single-tag outage.
-    tail = _single_tail(d, breakdown)
-    single = 1.0 - tail
-    breakdown["single_tag_sop"] = single
-    breakdown["p2"] = single - p1_val
-    if protocol is ProtocolKind.OTS:
-        return single ** d.n, breakdown
-    if protocol is ProtocolKind.RTS:
-        return single, breakdown
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def _build_exact_ip(protocol: ProtocolKind, params: SystemParams) -> tuple[float, dict]:
-    d = _derived(params)
-    x = d.lam_s * d.a
-    p1_val, survive = reg_lower_inc_gamma(d.ms, x), reg_upper_inc_gamma(d.ms, x)
-    breakdown: dict = {"p1": p1_val}
-
-    if protocol is ProtocolKind.SOTS:
-        cmp_val = _cmp_max(d, d.c, breakdown)
-    elif protocol is ProtocolKind.METS:
-        cmp_val = _cmp_single(d, d.c, breakdown, minimum_stat=True)
+        cmp_val = _cmp_max(d, x, breakdown)
     else:
-        cmp_val = _cmp_single(d, d.c)
-    breakdown["p3"] = survive * cmp_val
-
-    single = p1_val + survive * cmp_val
-    if protocol is ProtocolKind.OTS:
-        breakdown["single_tag_ip"] = single
-        return single ** d.n, breakdown
-    return single, breakdown
+        cmp_val = _cmp_single(d, x, breakdown, protocol is ProtocolKind.METS)
+    if kind.startswith("asymptotic"):
+        return cmp_val
+    p3 = breakdown["p3"] = reg_upper_inc_gamma(d.ms, d.lam_s * d.a) * cmp_val
+    return breakdown["p1"] + p3
 
 
-def _build_asymptotic(protocol: ProtocolKind, params: SystemParams,
-                      metric: str) -> tuple[float, dict]:
-    d = _derived(params)
-    breakdown: dict = {"p1": 0.0}
-    if metric == "sop" and params.rate_threshold == 0.0:
-        breakdown["p2"] = 0.0
-        return 0.0, breakdown
-    x = d.cap_b if metric == "sop" else d.c
-
-    if protocol is ProtocolKind.SOTS:
-        val = _cmp_max(d, x, breakdown)
-    elif protocol is ProtocolKind.METS:
-        val = _cmp_single(d, x, breakdown, minimum_stat=True)
-    else:
-        single = _cmp_single(d, x)
-        breakdown["single_tag"] = single
-        val = single ** d.n if protocol is ProtocolKind.OTS else single
-    return val, breakdown
-
-
-def _report(kind: str, protocol: ProtocolKind, build: Callable[[], tuple]) -> ClosedFormReport:
-    """The report of build()'s (raw, breakdown); an intermediate that leaves the
-    float range (an overflow, or a divisor that underflowed to 0) is a ValidationError."""
+def _report(kind: str, protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
+    """The report of one closed form; an intermediate that leaves the float
+    range (an overflow, or a divisor that underflowed to 0) or a result that is
+    not finite is a ValidationError."""
+    if not isinstance(protocol, ProtocolKind):
+        raise ValidationError(f"{kind}: protocol must be a ProtocolKind, got {protocol!r}")
     try:
-        raw, breakdown = build()
+        d = _derived(params)
+        breakdown: dict = {"p1": p1(params) if kind.startswith("exact") else 0.0}
+        if kind.endswith("sop") and params.rate_threshold == 0.0:
+            # Capacity is clamped at zero, so it can never fall below R = 0;
+            # only the dead-tag event remains.
+            breakdown["p2"] = 0.0
+            raw = breakdown["p1"]
+        else:
+            # 0 < R but 2^R rounds to 1, so A = 0: the outage event is the
+            # intercept event
+            rule = "exact_ip" if kind == "exact_sop" and d.tau == 1.0 else kind
+            single = breakdown["single_tag"] = _single(d, protocol, rule, breakdown)
+            raw = single ** d.n if protocol is ProtocolKind.OTS else single
     except ArithmeticError as exc:
         raise ValidationError(
             f"{kind} ({protocol.value}) cannot be evaluated here: an intermediate "
             f"term leaves the float range (largest float {sys.float_info.max:.4g})") from exc
-    return ClosedFormReport.build(raw, protocol, kind, breakdown)
+    if not math.isfinite(raw):
+        raise ValidationError(
+            f"{kind} ({protocol.value}) cannot be evaluated here: its terms sum to {raw!r}")
+    return ClosedFormReport(value=min(max(raw, 0.0), 1.0), raw_value=raw, protocol=protocol,
+                            kind=kind, term_breakdown=MappingProxyType(breakdown))
 
 
 def sop_exact(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """Exact secrecy outage probability for the given selection rule."""
-    return _report("exact_sop", protocol, lambda: _build_exact_sop(protocol, params))
+    return _report("exact_sop", protocol, params)
 
 
 def ip_exact(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """Exact intercept probability (dead tag, or eavesdropper SNR above the
     destination's) for the given selection rule."""
-    return _report("exact_ip", protocol, lambda: _build_exact_ip(protocol, params))
+    return _report("exact_ip", protocol, params)
 
 
 def sop_asymptotic(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """High-transmit-power SOP limit; independent of gamma_t by construction."""
-    return _report("asymptotic_sop", protocol, lambda: _build_asymptotic(protocol, params, "sop"))
+    return _report("asymptotic_sop", protocol, params)
 
 
 def ip_asymptotic(protocol: ProtocolKind, params: SystemParams) -> ClosedFormReport:
     """High-transmit-power IP limit; independent of gamma_t by construction."""
-    return _report("asymptotic_ip", protocol, lambda: _build_asymptotic(protocol, params, "ip"))
+    return _report("asymptotic_ip", protocol, params)

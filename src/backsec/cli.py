@@ -82,14 +82,21 @@ def _write(text: str, out_path) -> None:
 
 def _run_flagged(compute, emit) -> int:
     """emit(compute()); then one stderr line per NumericalInstabilityWarning
-    that compute raised, and exit code 3 if there was any, else 0."""
+    that compute raised, and exit code 3 if there was any, else 0.  Every
+    other warning compute raised is issued again after the output, with its
+    category, file and line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NumericalInstabilityWarning)
         result = compute()
     emit(result)
-    flagged = [w for w in caught if issubclass(w.category, NumericalInstabilityWarning)]
-    for w in flagged:
-        print(f"instability: {w.message}", file=sys.stderr)
+    flagged = 0
+    for w in caught:
+        if issubclass(w.category, NumericalInstabilityWarning):
+            print(f"instability: {w.message}", file=sys.stderr)
+            flagged += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
     return 3 if flagged else 0
 
 

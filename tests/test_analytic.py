@@ -307,6 +307,31 @@ class TestReportMechanics:
             else:
                 assert 0.0 <= getattr(analytic, form)(ProtocolKind.SOTS, p).value <= 1.0
 
+    @pytest.mark.parametrize("form", ["sop_exact", "sop_asymptotic", "ip_exact",
+                                      "ip_asymptotic"])
+    def test_protocol_must_be_a_protocol_kind(self, form):
+        # a protocol name is not a rule: no form may read "ots" as another rule
+        with pytest.raises(ValidationError, match="ProtocolKind, got 'ots'"):
+            getattr(analytic, form)("ots", make_params())
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (8, 4)], ids=["fig2", "n8m4"])
+    def test_every_breakdown_names_the_same_parts(self, n, m):
+        p = make_params(n_tags=n, m=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalInstabilityWarning)
+            for form in FORMS:
+                for proto in ALL:
+                    rep = getattr(analytic, form)(proto, p)
+                    terms = rep.term_breakdown
+                    single = terms["single_tag"]
+                    assert "p1" in terms
+                    assert rep.raw_value == (single ** n if proto is ProtocolKind.OTS
+                                             else single), (form, proto)
+                    if form == "ip_exact":
+                        assert single == terms["p1"] + terms["p3"], proto
+                    if form.endswith("asymptotic"):
+                        assert terms["p1"] == 0.0
+
     def test_instability_warning_raised_at_tight_threshold(self, monkeypatch):
         p = make_params(n_tags=4, m=3)
         monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", 1.0)

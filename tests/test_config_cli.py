@@ -3,8 +3,10 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,6 +102,8 @@ OUT_OF_RANGE_POINTS = [
     "n_tags=3 m_sk=1 m_kd=1 m_ke=1 lambda_sk=6e-270 lambda_kd=1.4e-119",
     # simulated SNRs whose ratio is inf/inf
     "n_tags=2 m_sk=1 m_kd=1 m_ke=1 zeta=1e274 gamma_t=1e284",
+    # a closed-form sum that is inf * 0 (SOTS exact SOP), so NaN
+    "n_tags=4 m_sk=2 m_kd=2 m_ke=2 gamma_p=2.6450996970736533e-137",
 ]
 
 # keys whose values the property test keeps small: N <= 4, m <= 3
@@ -433,8 +437,24 @@ class TestCliCommands:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(point=oracle_points())
     def test_any_point_exits_0_2_or_3(self, point):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(["oracle", "--point", *point, "--trials", "200"]) in (0, 2, 3)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["oracle", "--point", *point, "--trials", "200"])
+        assert rc in (0, 2, 3)
+        if rc != 2:  # a printed table holds numbers only
+            assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()
+
+    def test_other_warnings_reach_the_caller(self, monkeypatch, capsys):
+        real = cli.estimate_all
+
+        def noisy(params, mc):
+            warnings.warn("estimator note", UserWarning)
+            return real(params, mc)
+
+        monkeypatch.setattr(cli, "estimate_all", noisy)
+        with pytest.warns(UserWarning, match="estimator note"):
+            assert cli.main(["oracle", "--point", "p_c=100uW", "--trials", "1000"]) == 0
+        assert "instability" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", ["0, inf", "0, 4000"])
     def test_out_of_range_axis_exits_2(self, values, tmp_path, capsys):

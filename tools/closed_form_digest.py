@@ -24,13 +24,16 @@ covers m_s above and below (m_d - 1) theta1, which sets the order of the
 Bessel tables the exact SOP reads.
 
 Each evaluation contributes ``repr(raw_value)``, ``repr(dict(term_breakdown))``
-and the message of every ``NumericalInstabilityWarning`` it raised.  The set is
-evaluated three ways: the 16 forms forward on one params object, in reverse on
-one object, and each form on its own ``dataclasses.replace(params)``.  Each
-way hashes the evaluations in the forward order, so the three digests agree
-when sharing terms between the forms of one object changes nothing.  A change
-that keeps the closed forms bit for bit leaves the digest and both counts as
-they were.
+and the message of every ``NumericalInstabilityWarning`` it raised to the full
+digest (``sha256=``), and the same without the breakdown to the values digest
+(``values=``).  The set is evaluated three ways: the 16 forms forward on one
+params object, in reverse on one object, and each form on its own
+``dataclasses.replace(params)``.  Each way hashes the evaluations in the
+forward order, so the three ways agree when sharing terms between the forms of
+one object changes nothing.  A change that keeps the closed forms bit for bit
+leaves both digests and both counts as they were; one that renames or adds
+breakdown parts but keeps every number and warning moves the full digest and
+keeps the values digest.
 """
 
 from __future__ import annotations
@@ -128,28 +131,30 @@ def _results(params, way: str) -> list:
 
 
 def digest(point_set: list, way: str) -> tuple:
-    """(SHA-256 hex, evaluations, warnings, flagged evaluations) of one set,
-    evaluated one way."""
-    h = hashlib.sha256()
+    """(full SHA-256 hex, values SHA-256 hex, evaluations, warnings, flagged
+    evaluations) of one set, evaluated one way."""
+    full, values = hashlib.sha256(), hashlib.sha256()
     evaluations = n_warnings = flagged = 0
     for params in point_set:
         for raw, breakdown, messages in _results(replace(params), way):
-            h.update(f"{raw}\n{breakdown}\n".encode())
+            full.update(f"{raw}\n{breakdown}\n".encode())
+            values.update(f"{raw}\n".encode())
             for message in messages:
-                h.update(f"! {message}\n".encode())
+                full.update(f"! {message}\n".encode())
+                values.update(f"! {message}\n".encode())
             evaluations += 1
             n_warnings += len(messages)
             flagged += bool(messages)
-    return h.hexdigest(), evaluations, n_warnings, flagged
+    return full.hexdigest(), values.hexdigest(), evaluations, n_warnings, flagged
 
 
 def main() -> int:
     agree = True
     for prefix, point_set in (("", points()), ("mixed ", mixed_points())):
         rows = {way: digest(point_set, way) for way in ("forward", "reversed", "fresh")}
-        for way, (hexdigest, evaluations, n_warnings, flagged) in rows.items():
-            print(f"{prefix}{way:9s} sha256={hexdigest} evaluations={evaluations} "
-                  f"warnings={n_warnings} flagged={flagged}")
+        for way, (full, values, evaluations, n_warnings, flagged) in rows.items():
+            print(f"{prefix}{way:9s} sha256={full} values={values} "
+                  f"evaluations={evaluations} warnings={n_warnings} flagged={flagged}")
         agree = agree and len(set(rows.values())) == 1
     print("ways agree" if agree else "WAYS DISAGREE")
     return 0 if agree else 1
