@@ -15,15 +15,20 @@ independent.  Every array of the workspace starts on a 64-byte cache line:
 the allocator alone guarantees 16 bytes, and an offset that depends on what
 the process allocated before moves the kernel's speed by about 10%.
 
+The kernel takes two inputs besides the batch key and the trial count.
+rows, the (m, lambda~) of each of the 3N (family, tag) gain rows in draw
+order, sets the slot count and, with the batch key, fixes the draws, the
+Gamma gains and the SOTS, METS and RTS picks.  point, the per-tag activation
+thresholds, the per-tag SNR scales e1g and e2g, tau = 2^R and whether R > 0,
+feeds only the ratio and the counts; N is its number of tags.
+
 After the log, every stage works on whole runs of adjacent (family, tag)
 rows, never on one tag at a time.  The Gamma sums make one add per extra
 shape unit for each run of rows with equal m, the divide one call per run of
 equal lambda~, and the SOTS, METS and OTS picks a fixed number of calls
 whatever N.  With i.i.d. links a tile thus makes 62 + max(m - 1, 1) numpy
-calls at any N (63 at m = 1, 64 at m = 3), where a per-tag loop made
-34 + 9N + 3N*max(m - 1, 1) (70 at fig2's N = 3, m = 2; 154 at N = 8, m = 3).
-That matters most where tiles are short: at N = 8, m = 3 a tile holds 897
-trials.
+calls at any N (63 at m = 1, 64 at m = 3).  That matters most where tiles
+are short: at N = 8, m = 3 a tile holds 897 trials.
 """
 
 from __future__ import annotations
@@ -90,23 +95,24 @@ def _runs(values):
         start = stop
 
 
-def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
-             thr, e1g, e2g, tau, r_pos):
-    """Event counts of one batch of n_trials trials keyed on bseed.
+def mc_batch(bseed, n_trials, rows, point):
+    """Event counts of one batch of n_trials trials keyed on bseed, from the
+    gain rows and the point (thr, e1g, e2g, tau, r_pos) of the module docstring.
 
-    Draw order per trial: source gains tag-major, then destination gains,
-    then eavesdropper gains, then one uniform for the random-selection pick.
-    Counts columns: (dead tag, secrecy outage while powered, intercept while
-    powered); protocol rows: SOTS, METS, OTS, RTS.
+    Draw order per trial: the m draws of each row in turn (sources tag-major,
+    then destinations, then eavesdroppers), then one uniform for the
+    random-selection pick.  Counts columns: (dead tag, secrecy outage while
+    powered, intercept while powered); protocol rows: SOTS, METS, OTS, RTS.
 
     Trials are walked in tiles of about _TILE_UNIFORMS draws through one
     workspace allocated per call; every stage writes into slices of it.
     Within a tile the draws sit slot-major (row = slot, column = trial), and
     the gains sit row-major over (family, tag).
     """
-    slots = int(m_s.sum() + m_d.sum() + m_e.sum()) + 1
+    thr, e1g, e2g, tau, r_pos = point
+    n = len(thr)
+    slots = sum(m for m, _ in rows) + 1
     tile = min(n_trials, max(1, _TILE_UNIFORMS // slots))
-    n = n_tags
 
     z, u, gains, ratio, denom, flat, dead, sel, hits = _workspace(
         ((slots, tile), np.uint64),
@@ -133,11 +139,10 @@ def mc_batch(bseed, n_trials, n_tags, m_s, lam_s, m_d, lam_d, m_e, lam_e,
     # m holds its draws in adjacent slots: a (rows, m, tile) view of them
     g_rows = gains.reshape(3 * n, tile)
     sums, col = [], 0
-    for r0, r1, m in _runs(np.concatenate((m_s, m_d, m_e)).tolist()):
+    for r0, r1, m in _runs([m for m, _ in rows]):
         sums.append((g_rows[r0:r1], u[col:col + (r1 - r0) * m].reshape(r1 - r0, m, tile), m))
         col += (r1 - r0) * m
-    scales = [(g_rows[r0:r1], -lam)
-              for r0, r1, lam in _runs(np.concatenate((lam_s, lam_d, lam_e)).tolist())]
+    scales = [(g_rows[r0:r1], -lam) for r0, r1, lam in _runs([lam for _, lam in rows])]
     # tag k weighs (N - k)*tile: the largest weight among equal tags is the
     # first of them, and N*tile minus it is that tag's flat row offset
     first_weight = ((n - np.arange(n, dtype=np.intp)) * tile)[:, None]

@@ -76,8 +76,12 @@ class ClosedFormReport:
     OTS.  Exact SOP adds ``p2``, single_tag less p1, with its terms
     (``p2.comp…`` for SOTS, ``tail.j=…`` otherwise); exact IP adds ``p3``, with
     single_tag = p1 + p3; exact IP and the asymptotes add their comparison
-    terms (``comp…`` for SOTS, ``j=…`` otherwise).  The R = 0 SOP has only p1
-    and p2 = 0.0; an exact SOP with 2^R == 1 has the parts of the exact IP."""
+    terms (``comp…`` for SOTS, ``j=…`` otherwise).  The R = 0 SOP has p1 and
+    p2 = 0.0, and raw_value is p1: the selected tag is dead.  OTS keeps tag 0
+    unless some tag's ratio exceeds 1, so its exact R = 0 SOP adds the parts of
+    the one-tag exact IP, single_tag among them, and raw_value is
+    p1 * single_tag ** (n - 1).  An exact SOP with 2^R == 1 has the parts of the
+    exact IP."""
 
     value: float
     raw_value: float
@@ -396,6 +400,12 @@ def _report(kind: str, protocol: ProtocolKind, params: SystemParams) -> ClosedFo
             # only the dead-tag event remains.
             breakdown["p2"] = 0.0
             raw = breakdown["p1"]
+            if protocol is ProtocolKind.OTS and kind == "exact_sop":
+                # OTS keeps tag 0 unless some tag's ratio exceeds 1, so it picks
+                # a dead tag when tag 0 is dead and every other tag is dead or
+                # intercepted
+                single = breakdown["single_tag"] = _single(d, protocol, "exact_ip", breakdown)
+                raw = raw * single ** (d.n - 1)
         else:
             # 0 < R but 2^R rounds to 1, so A = 0: the outage event is the
             # intercept event

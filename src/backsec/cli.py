@@ -128,7 +128,7 @@ def _cmd_oracle(args) -> int:
               f"{'mc':>12s} {'mc_stderr':>12s}")
         for metric, proto, ex, asym, mc_v, se in rows:
             print(f"{metric:6s} {proto:8s} {ex:12.6g} {asym:12.6g} {mc_v:12.6g} {se:12.3g}")
-        print(f"(mc trials = {mc.trials}, seed = {mc.seed})")
+        print(f"(mc trials = {mc.trials}, seed = {mc.seed}, batch_size = {mc.batch_size})")
 
     return _run_flagged(compute, emit)
 

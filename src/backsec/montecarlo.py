@@ -62,30 +62,20 @@ class MetricEstimate:
 
 
 def _kernel_args(params: SystemParams):
-    n = params.n_tags
-    links_s = params.links_of("s")
-    links_d = params.links_of("d")
-    links_e = params.links_of("e")
-    m_s = np.array([l.m for l in links_s], dtype=np.int64)
-    lam_s = np.array([l.lambda_tilde for l in links_s])
-    m_d = np.array([l.m for l in links_d], dtype=np.int64)
-    lam_d = np.array([l.lambda_tilde for l in links_d])
-    m_e = np.array([l.m for l in links_e], dtype=np.int64)
-    lam_e = np.array([l.lambda_tilde for l in links_e])
-    phi = params.eh.phi
-    thr = np.array([phi / (params.p_tx * l.path_gain) for l in links_s])
+    """The kernel's two inputs (see `_kernels`): rows, the (m, lambda~) of
+    each (family, tag) gain row in draw order, and point, (thr, e1g, e2g, tau,
+    r_pos) with per-tag arrays thr, e1g and e2g."""
+    links_s, links_d, links_e = (params.links_of(fam) for fam in "sde")
+    rows = tuple((l.m, l.lambda_tilde) for links in (links_s, links_d, links_e) for l in links)
+    thr = np.array([params.eh.phi / (params.p_tx * l.path_gain) for l in links_s])
     scale = params.zeta * params.gamma_t / params.gamma_p
-    e1g = np.array([scale * ls.path_gain * ld.path_gain
-                    for ls, ld in zip(links_s, links_d)])
-    e2g = np.array([scale * ls.path_gain * le.path_gain
-                    for ls, le in zip(links_s, links_e)])
-    tau = params.tau
-    r_pos = params.rate_threshold > 0.0
-    return (n, m_s, lam_s, m_d, lam_d, m_e, lam_e, thr, e1g, e2g, tau, r_pos)
+    e1g = np.array([scale * ls.path_gain * ld.path_gain for ls, ld in zip(links_s, links_d)])
+    e2g = np.array([scale * ls.path_gain * le.path_gain for ls, le in zip(links_s, links_e)])
+    return rows, (thr, e1g, e2g, params.tau, params.rate_threshold > 0.0)
 
 
 def _run_counts(params: SystemParams, mc: McConfig) -> np.ndarray:
-    args = _kernel_args(params)
+    rows, point = _kernel_args(params)
     n_batches = -(-mc.trials // mc.batch_size)
 
     def one(b: int) -> np.ndarray:
@@ -94,7 +84,7 @@ def _run_counts(params: SystemParams, mc: McConfig) -> np.ndarray:
         # numpy error modes are per thread, so each batch sets its own
         try:
             with np.errstate(over="ignore", invalid="raise"):
-                return mc_batch(batch_seed(mc.seed, b), size, *args)
+                return mc_batch(batch_seed(mc.seed, b), size, rows, point)
         except FloatingPointError as exc:
             raise ValidationError("Monte Carlo cannot be evaluated here: a trial's SNRs "
                                   "leave the float range and their ratio is undefined") from exc

@@ -141,9 +141,14 @@ def test_criterion_6_structural_identities():
         multi = make_params(n_tags=n)
         ots_ok &= abs(analytic.sop_exact(ProtocolKind.OTS, multi).value
                       - analytic.sop_exact(ProtocolKind.OTS, single).value ** n) <= 1e-12
+    # at R = 0 the selected tag is dead; OTS keeps tag 0 unless some ratio
+    # exceeds 1, so it picks a dead tag when every other tag fails as well
     p0 = make_params(rate=0.0)
-    rate_ok = all(abs(analytic.sop_exact(pr, p0).value - analytic.p1(p0)) <= 1e-12
-                  for pr in PROTOCOL_ORDER)
+    ip_one = analytic.ip_exact(ProtocolKind.RTS, p0).value
+    zero_rate = {pr: analytic.p1(p0) for pr in PROTOCOL_ORDER}
+    zero_rate[ProtocolKind.OTS] *= ip_one ** (p0.n_tags - 1)
+    rate_ok = all(abs(analytic.sop_exact(pr, p0).value - v) <= 1e-12
+                  for pr, v in zero_rate.items())
     sops = [analytic.sop_exact(pr, single).value for pr in PROTOCOL_ORDER]
     ips = [analytic.ip_exact(pr, single).value for pr in PROTOCOL_ORDER]
     coincide_ok = (max(sops) - min(sops) <= 1e-12) and (max(ips) - min(ips) <= 1e-12)

@@ -11,6 +11,7 @@ import sys
 import threading
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,12 +69,19 @@ def quad_sop(params, protocol):
 
 class TestStructuralIdentities:
     def test_zero_rate_equals_p1(self):
+        # at R = 0 only a dead selected tag is an outage; OTS keeps tag 0
+        # unless some tag's ratio exceeds 1, so it picks a dead tag when tag 0
+        # is dead and every other tag is dead or intercepted
         p = make_params(rate=0.0)
         p1v = analytic.p1(p)
+        ip_one = analytic.ip_exact(ProtocolKind.RTS, p).raw_value
         for proto in ALL:
             rep = analytic.sop_exact(proto, p)
-            assert abs(rep.value - p1v) <= 1e-12
+            want = p1v * ip_one ** (p.n_tags - 1) if proto is ProtocolKind.OTS else p1v
+            assert abs(rep.value - want) <= 1e-12 * want, proto
+            assert rep.term_breakdown["p1"] == p1v
             assert rep.term_breakdown["p2"] == 0.0
+        assert analytic.sop_exact(ProtocolKind.OTS, p).term_breakdown["single_tag"] == ip_one
 
     def test_rate_below_float_resolution_gives_intercept(self):
         # 0 < R with 2^R == 1.0: the outage event is the intercept event
@@ -84,7 +92,7 @@ class TestStructuralIdentities:
             assert sop == analytic.ip_exact(proto, tiny).raw_value
             assert sop != analytic.p1(tiny)
         zero = make_params(rate=0.0)
-        for proto in ALL:
+        for proto in (ProtocolKind.SOTS, ProtocolKind.METS, ProtocolKind.RTS):
             assert analytic.sop_exact(proto, zero).raw_value == analytic.p1(zero)
 
     def test_all_protocols_coincide_single_tag(self):
@@ -172,6 +180,18 @@ class TestMonteCarloAgreement:
                 tol = max(3.5 * e.stderr, 2e-4)
                 assert abs(fn(proto, p).value - e.p_hat) <= tol, (proto, metric)
 
+    @pytest.mark.parametrize("gamma_db,n", [(0.0, 3), (5.0, 2)])
+    def test_zero_rate_sop_within_four_sigma(self, gamma_db, n):
+        # only a dead selected tag is an outage at R = 0; the OTS value sits
+        # far below p1 here (1.6e-3 against 0.089 at 0 dB), so the band tells
+        # them apart
+        p = make_params(gamma_t_db=gamma_db, n_tags=n, rate=0.0)
+        est = estimate_all(p, McConfig(trials=400_000, seed=6))
+        for proto in ALL:
+            e = est[(proto, "sop")]
+            assert e.n_case2 == 0
+            assert abs(analytic.sop_exact(proto, p).value - e.p_hat) <= 4 * e.stderr, proto
+
     def test_high_resolution_reference_points(self):
         """1e7-trial checks at the reference geometry (deterministic seeds,
         verified once to sit inside 3 sigma and frozen)."""
@@ -218,6 +238,51 @@ class TestAsymptotics:
             asym = analytic.sop_asymptotic(proto, p60).raw_value
             exact = analytic.sop_exact(proto, p60).raw_value
             assert abs(exact - asym) / asym < 0.01
+
+
+def exact_cmp_max(d, x):
+    """P(max of N destination gains < x W3), the SOTS comparison sum, summed
+    exactly in fractions from the float inputs: integer-factorial delta over
+    `compositions`, and the W3 moment
+    lam_e^me Gamma(me + q) / (Gamma(me) (lam_e + s)^(me + q))."""
+    n, md, me = d.n, d.md, d.me
+    lam_d, lam_e, x = Fraction(d.lam_d), Fraction(d.lam_e), Fraction(x)
+    total = Fraction(0)
+    for parts in compositions(n, md + 1):
+        t1 = n - parts[0]
+        t2 = sum((i - 1) * parts[i] for i in range(2, md + 1))
+        denom = math.prod(map(math.factorial, parts)) * math.prod(
+            math.factorial(i - 1) ** parts[i] for i in range(1, md + 1))
+        delta = (-1) ** t1 * lam_d ** t2 * Fraction(math.factorial(n), denom)
+        moment = (lam_e ** me * Fraction(math.factorial(me + t2 - 1), math.factorial(me - 1))
+                  / (lam_e + lam_d * t1 * x) ** (me + t2))
+        total += delta * x ** t2 * moment
+    return total
+
+
+class TestSotsComparisonOracle:
+    """The SOTS comparison sum gives the IP asymptote (x = c) and the SOP
+    asymptote (x = B).  Where its condition, sum |comp terms| / |value|, is
+    below the cancellation threshold, its true relative error stays within a
+    small multiple of eps times that condition."""
+
+    @pytest.mark.parametrize("d_e", [4.0, 6.0])
+    @pytest.mark.parametrize("n,m", [(3, 2), (8, 2), (8, 3), (8, 4)])
+    def test_error_is_bounded_by_the_condition(self, n, m, d_e):
+        p = make_params(gamma_t_db=30.0, n_tags=n, m=m, d_e=d_e)
+        d = analytic._derived(p)
+        for form, x in ((analytic.ip_asymptotic, d.c), (analytic.sop_asymptotic, d.cap_b)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericalInstabilityWarning)
+                rep = form(ProtocolKind.SOTS, p)
+            magnitude = sum(abs(v) for k, v in rep.term_breakdown.items() if k.startswith("comp"))
+            condition = magnitude / abs(rep.raw_value)
+            if condition >= analytic.CANCELLATION_THRESHOLD:
+                continue  # flagged: the value is not vouched for
+            exact = exact_cmp_max(d, x)
+            error = float(abs(Fraction(rep.raw_value) - exact) / exact)
+            bound = 4 * sys.float_info.epsilon * condition
+            assert error <= bound, (form.__name__, error, condition)
 
 
 class TestIntercept:

@@ -419,6 +419,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "sots" in out and "exact" in out and "mc" in out
 
+    def test_oracle_footer_names_the_whole_stream_key(self, capsys):
+        # counts are reproducible for a fixed (seed, trials, batch_size)
+        rc = cli.main(["oracle", "--point", "p_c=100uW", "batch_size=4096",
+                       "--trials", "10000", "--seed", "2"])
+        assert rc == 0
+        footer = capsys.readouterr().out.splitlines()[-1]
+        assert footer == "(mc trials = 10000, seed = 2, batch_size = 4096)"
+
     @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
     def test_out_of_range_point_exits_2(self, entry, capsys):
         argv = ["oracle", "--point", "p_c=100uW", *entry.split(), "--trials", "1000"]

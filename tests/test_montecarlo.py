@@ -213,7 +213,7 @@ class TestSnrModel:
         _fig2_at(0.0), _fig2_at(30.0), _fig2_at(60.0), _per_tag_source_params(),
     ], ids=["fig2-0dB", "fig2-30dB", "fig2-60dB", "heterogeneous"])
     def test_kernel_ratio_matches_paper_snr(self, params):
-        thr, e1g, e2g = _kernel_args(params)[7:10]
+        _, (thr, e1g, e2g, *_) = _kernel_args(params)
         links = zip(params.links_of("s"), params.links_of("d"), params.links_of("e"))
         for k, (ls, ld, le) in enumerate(links):
             for gs in (1e-3 * thr[k], 0.5 * thr[k], 0.999 * thr[k],

@@ -18,7 +18,7 @@ from conftest import EH_DEFAULT, make_params
 def kernel_snrs(params, g_s, g_d, g_e, k=0):
     """(gamma_d, gamma_e) of tag k as the kernel forms them from its
     arguments: w1 g_x e_xg with the powered weight w1 = max(g_s - thr, 0)."""
-    thr, e1g, e2g = _kernel_args(params)[7:10]
+    _, (thr, e1g, e2g, *_) = _kernel_args(params)
     w1 = max(g_s - thr[k], 0.0)
     return w1 * g_d * e1g[k], w1 * g_e * e2g[k]
 
@@ -149,7 +149,7 @@ class TestDrawRealizations:
         # with beta* the harvester's optimal reflection
         p = make_params(gamma_t_db=0.0)  # a threshold inside the gain's bulk
         ls = p.links_of("s")[0]
-        thr = _kernel_args(p)[7][0]
+        thr = _kernel_args(p)[1][0][0]  # point = (thr, ...), tag 0
         rng = np.random.default_rng(8)
         draws = rng.gamma(ls.m, 1.0 / ls.lambda_tilde, size=200)
         assert (draws < thr).any() and (draws > thr).any()
