@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import NumericalInstabilityWarning, ValidationError
 from .specfun import (
-    CompensatedSum,
     bessel_k,
     compositions,
     multinomial_delta,
@@ -149,30 +148,46 @@ def _derived(params: SystemParams) -> _Derived:
     return d
 
 
-def _checked(acc: CompensatedSum, label: str) -> float:
-    if acc.condition > CANCELLATION_THRESHOLD:
+def _sum(terms: Sequence[float]) -> tuple:
+    """(value, condition) of a sum: math.fsum, correctly rounded in any term
+    order, and sum |term| / |value|, which is 1.0 for no terms, inf for a zero
+    sum of non-zero terms or a magnitude that overflows, and nan for inf - inf."""
+    try:
+        value = math.fsum(terms)
+    except ValueError:  # inf - inf
+        return math.nan, math.nan
+    try:
+        magnitude = math.fsum(map(abs, terms))
+    except OverflowError:
+        magnitude = math.inf
+    if value == 0.0:
+        return value, 1.0 if magnitude == 0.0 else math.inf
+    return value, magnitude / abs(value)
+
+
+def _checked(total: tuple, label: str) -> float:
+    value, condition = total
+    if condition > CANCELLATION_THRESHOLD:
         warnings.warn(
-            f"{label}: cancellation ratio {acc.condition:.3g} exceeds {CANCELLATION_THRESHOLD:.3g}; "
+            f"{label}: cancellation ratio {condition:.3g} exceeds {CANCELLATION_THRESHOLD:.3g}; "
             "the returned value may be unreliable",
             NumericalInstabilityWarning,
             stacklevel=3,
         )
-    return acc.value
+    return value
 
 
 def _checked_sum(d: _Derived, key: tuple, label: str, pairs: Callable[[], Iterable],
                  breakdown: dict) -> float:
-    """The Neumaier sum of the (label, term) pairs that pairs() yields, built
-    once per key; every use copies the pairs into breakdown and checks the sum."""
+    """The `_sum` of the (label, term) pairs that pairs() yields, built once
+    per key; every use copies the pairs into breakdown and checks the sum."""
     def build():
         built = tuple(pairs())
-        acc = CompensatedSum()
-        acc.add_all([term for _, term in built])
-        return acc, built
+        return _sum([term for _, term in built]), built
 
-    acc, built = d.memo(key, build)
+    total, built = d.memo(key, build)
     breakdown.update(built)
-    return _checked(acc, label)
+    return _checked(total, label)
 
 
 def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
@@ -249,15 +264,11 @@ def _w3_min_moments(d: _Derived, rate_shift: float) -> list:
                 if t4 > 0:
                     term += t4 * math.exp(math.lgamma(q + t4) - (q + t4) * log_s)
                 factors[q][t3, t4] = term
-        accs = []
-        for factor in factors:
-            acc = CompensatedSum()
-            acc.add_all(map(operator.mul, coefs, map(factor.__getitem__, pairs)))
-            accs.append(acc)
-        return accs
+        return tuple(_sum(list(map(operator.mul, coefs, map(factor.__getitem__, pairs))))
+                     for factor in factors)
 
-    return [_checked(acc, "weakest-eavesdropper moment")
-            for acc in d.memo(("min_moments", rate_shift), build)]
+    return [_checked(total, "weakest-eavesdropper moment")
+            for total in d.memo(("min_moments", rate_shift), build)]
 
 
 def _w3_min_rows(d: _Derived) -> tuple:

@@ -15,6 +15,7 @@ import importlib.resources
 import math
 import re
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from operator import attrgetter
 
 from .channel import NakagamiLink
@@ -176,9 +177,11 @@ def loads_config(text: str) -> SweepSpec:
                          for tok in map(str.strip, value.split(",")) if tok)
         scalar = _parse_scalar(key, kind, value, line_no)
         if kind == _INT:
-            if scalar != int(scalar):
+            # the literal itself, not its float: 2^53 + 1 and 2^64 - 1 are exact
+            exact = Decimal(_NUM_UNIT.match(value).group(1))
+            if exact != exact.to_integral_value():
                 raise ConfigParseError(f"key {key!r} must be an integer", line_no)
-            return int(scalar)
+            return int(exact)
         return scalar
 
     metric_words = get("metric")

@@ -35,6 +35,15 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "batch_size", "workers"):
+            value = getattr(self, name)
+            try:
+                integral = not isinstance(value, bool) and int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "CompensatedSum",
     "bessel_k",
     "compositions",
     "multinomial_delta",
@@ -256,44 +255,3 @@ def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
     sign = -1.0 if theta1 % 2 else 1.0
     return sign * math.exp(log_mag), theta1, theta2
 
-
-class CompensatedSum:
-    """Neumaier compensated accumulator; also tracks the sum of magnitudes so
-    callers can estimate how much cancellation occurred."""
-
-    __slots__ = ("_s", "_c", "abs_sum")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-        self.abs_sum = 0.0
-
-    def add(self, term: float) -> None:
-        self.add_all((term,))
-
-    def add_all(self, terms) -> None:
-        """Add each term in order, with the running sum in local variables."""
-        s, c, abs_sum = self._s, self._c, self.abs_sum
-        for term in terms:
-            a = abs(term)
-            abs_sum += a
-            t = s + term
-            if abs(s) >= a:
-                c += (s - t) + term
-            else:
-                c += (term - t) + s
-            s = t
-        self._s, self._c, self.abs_sum = s, c, abs_sum
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-    @property
-    def condition(self) -> float:
-        """Ratio of accumulated magnitude to result magnitude; large values
-        mean the sum is dominated by cancellation."""
-        v = abs(self.value)
-        if v == 0.0:
-            return 1.0 if self.abs_sum == 0.0 else math.inf
-        return self.abs_sum / v

@@ -7,6 +7,7 @@ suite).
 """
 
 import math
+import random
 import sys
 import threading
 import warnings
@@ -238,6 +239,43 @@ class TestAsymptotics:
             asym = analytic.sop_asymptotic(proto, p60).raw_value
             exact = analytic.sop_exact(proto, p60).raw_value
             assert abs(exact - asym) / asym < 0.01
+
+
+class TestSum:
+    """`_sum` is math.fsum with the cancellation ratio of its terms."""
+
+    CASES = {
+        "empty": [],
+        "negative zero first": [-0.0, 0.0, -0.0, 1e-300, -1e-300],
+        "subnormals": [5e-324, -2.5e-320, 1e-310, 4.9e-322, -1e-310, 2.2250738585072e-308],
+        "1e16 cancellation": [1e16, 1.0, -1e16, 3.0, 1e16, -0.5, -1e16, 1e-3],
+        "mixed": [math.pi * (-1.7) ** k * 10.0 ** (k % 7 - 3) for k in range(60)],
+    }
+
+    def test_recovers_cancelled_tail(self):
+        value, condition = analytic._sum([1.0] + [1e-17] * 1000 + [-1.0])
+        assert value == pytest.approx(1e-14, rel=1e-10)
+        assert condition > 1e13
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_independent_of_term_order(self, name):
+        terms = self.CASES[name]
+        value, condition = analytic._sum(terms)
+        assert repr(value) == repr(math.fsum(terms))
+        rng = random.Random(name)
+        for _ in range(20):
+            shuffled = rng.sample(terms, len(terms))
+            assert tuple(map(repr, analytic._sum(shuffled))) == (repr(value), repr(condition))
+
+    def test_zero_sums(self):
+        assert analytic._sum([]) == (0.0, 1.0)
+        assert analytic._sum([1.0, -1.0]) == (0.0, math.inf)
+
+    def test_non_finite_terms(self):
+        # inf - inf is nan, as a plain running sum gives; fsum itself raises
+        assert all(map(math.isnan, analytic._sum([math.inf, -math.inf])))
+        # a magnitude past the float range leaves a finite value flagged
+        assert analytic._sum([1.5e308, -1.5e308, 1.0]) == (1.0, math.inf)
 
 
 def exact_cmp_max(d, x):
@@ -546,8 +584,8 @@ class TestBitIdentity:
         for form in FORMS:
             got = tuple(repr(reports[form, proto].raw_value) for proto in ProtocolKind)
             assert got == FROZEN_RAW[n, m][form], form
-        # the Neumaier sums hide a reordering in the last digit, so pin the
-        # term order too: one term per composition, in compositions order
+        # fsum gives the same value in any term order, so pin the term order
+        # too: one term per composition, in compositions order
         order = [f"comp{c}" for c in compositions(n, m + 1)]
         sop_terms = reports["sop_exact", ProtocolKind.SOTS].term_breakdown
         ip_terms = reports["ip_exact", ProtocolKind.SOTS].term_breakdown

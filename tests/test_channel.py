@@ -18,7 +18,7 @@ from scipy import integrate
 from backsec import analytic
 from backsec.channel import NakagamiLink
 from backsec.errors import ValidationError
-from backsec.specfun import CompensatedSum, reg_lower_inc_gamma
+from backsec.specfun import reg_lower_inc_gamma
 
 from conftest import make_params
 
@@ -26,10 +26,8 @@ from conftest import make_params
 def cdf_power(n, m, lam, t):
     """F(t)^n for a gain of shape m and rate lam, summed from the expansion
     table the closed forms read."""
-    acc = CompensatedSum()
-    acc.add_all(value * t ** t2 * math.exp(-lam * t1 * t)
-                for _, (value, t1, t2) in analytic._Derived(make_params()).expansion(n, m, lam))
-    return acc.value
+    return math.fsum(value * t ** t2 * math.exp(-lam * t1 * t)
+                     for _, (value, t1, t2) in analytic._Derived(make_params()).expansion(n, m, lam))
 
 
 def gamma_pdf(m, lam, t):
@@ -47,22 +45,20 @@ def _weakest_of(n, m, lam):
 def _min_cdf_from_rows(d, t):
     # the rows drop the constant term of each F^ell; with delta = 1 those
     # terms sum to sum_ell C(n, ell) (-1)^(ell+1) = 1
-    acc = CompensatedSum()
-    acc.add(1.0)
     pairs, coefs = analytic._w3_min_rows(d)
-    acc.add_all(c * t ** t4 * math.exp(-d.lam_e * t3 * t) for (t3, t4), c in zip(pairs, coefs))
-    return acc.value
+    return math.fsum([1.0] + [c * t ** t4 * math.exp(-d.lam_e * t3 * t)
+                              for (t3, t4), c in zip(pairs, coefs)])
 
 
 def _min_pdf_from_rows(d, t):
-    acc = CompensatedSum()
+    terms = []
     pairs, coefs = analytic._w3_min_rows(d)
     for (t3, t4), c in zip(pairs, coefs):
         deriv = -d.lam_e * t3 * t ** t4
         if t4 > 0:
             deriv += t4 * t ** (t4 - 1)
-        acc.add(c * deriv * math.exp(-d.lam_e * t3 * t))
-    return acc.value
+        terms.append(c * deriv * math.exp(-d.lam_e * t3 * t))
+    return math.fsum(terms)
 
 
 class TestNakagamiLink:

@@ -104,6 +104,9 @@ OUT_OF_RANGE_POINTS = [
     "n_tags=2 m_sk=1 m_kd=1 m_ke=1 zeta=1e274 gamma_t=1e284",
     # a closed-form sum that is inf * 0 (SOTS exact SOP), so NaN
     "n_tags=4 m_sk=2 m_kd=2 m_ke=2 gamma_p=2.6450996970736533e-137",
+    # a closed-form sum with terms inf and -inf (SOTS exact SOP), so NaN
+    "n_tags=3 m_sk=3 m_kd=1 m_ke=1 p_tx=1.2325426454030978e+148 "
+    "lambda_kd=1.9615621205034033e-209 d_e=4.61062933115609e+149",
 ]
 
 # keys whose values the property test keeps small: N <= 4, m <= 3
@@ -180,6 +183,22 @@ class TestParsing:
         with pytest.raises(ConfigParseError) as err:
             loads_config(MINIMAL + line + "\n")
         assert err.value.line_no == 2 and "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("line, value", [
+        ("trials = 2e5", 200_000), ("n_tags = 4.", 4), ("seed = +0.0e0", 0),
+        ("seed = 9007199254740993", 2 ** 53 + 1),
+        ("seed = 18446744073709551615", 2 ** 64 - 1),
+        ("batch_size = 12345678901234567.000", 12345678901234567),
+    ])
+    def test_integer_keys_read_the_literal_exactly(self, line, value):
+        key = line.split()[0]
+        assert f"\n{key} = {value}\n" in loads_config(MINIMAL + line + "\n").to_text()
+
+    @pytest.mark.parametrize("line", ["n_tags = 2.5", "seed = 9007199254740992.5",
+                                      "trials = 1e-400"])
+    def test_integer_keys_reject_fractions(self, line):
+        with pytest.raises(ConfigParseError, match="must be an integer"):
+            loads_config(MINIMAL + line + "\n")
 
     def test_wrong_unit_rejected(self):
         with pytest.raises(ConfigParseError):
@@ -426,6 +445,17 @@ class TestCliCommands:
         assert rc == 0
         footer = capsys.readouterr().out.splitlines()[-1]
         assert footer == "(mc trials = 10000, seed = 2, batch_size = 4096)"
+
+    @pytest.mark.parametrize("seed", ["9007199254740993", "18446744073709551615"])
+    def test_large_seed_survives_validate_and_oracle(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(MINIMAL + f"seed = {seed}\n")
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        assert f"\nseed = {seed}\n" in capsys.readouterr().out
+        assert cli.main(["oracle", "--point", "p_c=100uW", f"seed={seed}",
+                         "--trials", "1000"]) == 0
+        footer = capsys.readouterr().out.splitlines()[-1]
+        assert footer == f"(mc trials = 1000, seed = {seed}, batch_size = 65536)"
 
     @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
     def test_out_of_range_point_exits_2(self, entry, capsys):

@@ -360,6 +360,14 @@ class TestEstimateApi:
         with pytest.raises(ValidationError):
             McConfig(trials=100, seed=-1)
 
+    @pytest.mark.parametrize("field", ["trials", "seed", "batch_size", "workers"])
+    def test_integer_fields(self, field):
+        for bad in (True, 1000.5, math.inf, math.nan, "1000"):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                McConfig(**{"trials": 1000, field: bad})
+        mc = McConfig(**{"trials": 1000, field: 1000.0})
+        assert type(getattr(mc, field)) is int and getattr(mc, field) == 1000
+
 
 class TestRegressionFixtures:
     """Frozen after a first run verified against the closed forms (within

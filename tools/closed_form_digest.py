@@ -26,7 +26,9 @@ Bessel tables the exact SOP reads.
 Each evaluation contributes ``repr(raw_value)``, ``repr(dict(term_breakdown))``
 and the message of every ``NumericalInstabilityWarning`` it raised to the full
 digest (``sha256=``), and the same without the breakdown to the values digest
-(``values=``).  The set is evaluated three ways: the 16 forms forward on one
+(``values=``).  The raw values of the evaluations that raised no warning go
+to a third digest (``unflagged=``): a change that moves only flagged values
+keeps it.  The set is evaluated three ways: the 16 forms forward on one
 params object, in reverse on one object, and each form on its own
 ``dataclasses.replace(params)``.  Each way hashes the evaluations in the
 forward order, so the three ways agree when sharing terms between the forms of
@@ -131,9 +133,9 @@ def _results(params, way: str) -> list:
 
 
 def digest(point_set: list, way: str) -> tuple:
-    """(full SHA-256 hex, values SHA-256 hex, evaluations, warnings, flagged
-    evaluations) of one set, evaluated one way."""
-    full, values = hashlib.sha256(), hashlib.sha256()
+    """(full SHA-256 hex, values SHA-256 hex, unflagged SHA-256 hex,
+    evaluations, warnings, flagged evaluations) of one set, evaluated one way."""
+    full, values, unflagged = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     evaluations = n_warnings = flagged = 0
     for params in point_set:
         for raw, breakdown, messages in _results(replace(params), way):
@@ -142,18 +144,21 @@ def digest(point_set: list, way: str) -> tuple:
             for message in messages:
                 full.update(f"! {message}\n".encode())
                 values.update(f"! {message}\n".encode())
+            if not messages:
+                unflagged.update(f"{raw}\n".encode())
             evaluations += 1
             n_warnings += len(messages)
             flagged += bool(messages)
-    return full.hexdigest(), values.hexdigest(), evaluations, n_warnings, flagged
+    return (full.hexdigest(), values.hexdigest(), unflagged.hexdigest(), evaluations,
+            n_warnings, flagged)
 
 
 def main() -> int:
     agree = True
     for prefix, point_set in (("", points()), ("mixed ", mixed_points())):
         rows = {way: digest(point_set, way) for way in ("forward", "reversed", "fresh")}
-        for way, (full, values, evaluations, n_warnings, flagged) in rows.items():
-            print(f"{prefix}{way:9s} sha256={full} values={values} "
+        for way, (full, values, unflagged, evaluations, n_warnings, flagged) in rows.items():
+            print(f"{prefix}{way:9s} sha256={full} values={values} unflagged={unflagged} "
                   f"evaluations={evaluations} warnings={n_warnings} flagged={flagged}")
         agree = agree and len(set(rows.values())) == 1
     print("ways agree" if agree else "WAYS DISAGREE")
