@@ -109,9 +109,9 @@ class _Derived:
         self.ms, self.lam_s = ls.m, ls.lambda_tilde
         self.md, self.lam_d = ld.m, ld.lambda_tilde
         self.me, self.lam_e = le.m, le.lambda_tilde
-        self.a = params.gain_threshold
-        self.eta1 = params.eta1
-        self.eta2 = params.eta2
+        self.a = params.eh.phi / (params.p_tx * ls.path_gain)
+        self.eta1 = params.zeta * ls.path_gain * ld.path_gain / params.gamma_p
+        self.eta2 = params.zeta * ls.path_gain * le.path_gain / params.gamma_p
         self.tau = params.tau
         self.c = self.eta2 / self.eta1
         self.n = params.n_tags

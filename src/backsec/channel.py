@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, integer_field
 
 __all__ = ["NakagamiLink"]
 
@@ -26,9 +26,7 @@ class NakagamiLink:
     pathloss_exp: float
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
-            raise ValidationError(f"fading shape m must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", integer_field("m", self.m, 1, sys.maxsize))
         if not 0 < self.omega <= sys.float_info.max:
             raise ValidationError(f"omega = m/lambda_tilde must be positive and at most "
                                   f"{sys.float_info.max:.4g}, got {self.omega}")

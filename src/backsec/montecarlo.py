@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import batch_seed, mc_batch
-from .errors import ValidationError
+from .errors import ValidationError, integer_field
 from .system import ProtocolKind, SystemParams
 
 __all__ = ["McConfig", "MetricEstimate", "PROTOCOL_ORDER", "estimate_all"]
@@ -35,23 +35,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "seed", "batch_size", "workers"):
-            value = getattr(self, name)
-            try:
-                integral = not isinstance(value, bool) and int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.trials < 1:
-            raise ValidationError(f"trials must be positive, got {self.trials}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be positive, got {self.workers}")
+        for name, low, high in (("trials", 1, math.inf), ("seed", 0, 2 ** 64 - 1),
+                                ("batch_size", 1, math.inf), ("workers", 1, math.inf)):
+            object.__setattr__(self, name, integer_field(name, getattr(self, name), low, high))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ __all__ = [
     "multinomial_delta",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
-    "upper_inc_gamma",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -93,11 +92,6 @@ def reg_upper_inc_gamma(m: float, x: float) -> float:
     if x < m + 1.0:
         return 1.0 - _lower_series(m, x)
     return _upper_contfrac(m, x)
-
-
-def upper_inc_gamma(m: float, x: float) -> float:
-    """Unnormalized upper incomplete gamma Gamma(m, x)."""
-    return math.exp(math.lgamma(m)) * reg_upper_inc_gamma(m, x)
 
 
 def _k0_k1_series(x: float) -> tuple[float, float]:

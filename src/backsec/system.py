@@ -1,7 +1,8 @@
 """Scenario parameters: the selection rules, the per-family links of every
-tag, the harvester, and the link-budget constants (eta1, eta2, the source-gain
-activation threshold) that the closed forms and the simulator derive from
-them."""
+tag, the harvester and the link budget (transmit power and SNR, modulation
+gap, scattering coefficient, rate threshold).  The closed forms
+(`analytic._Derived`) and the simulator (`montecarlo._kernel_args`) each
+derive their constants from these fields."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Union
 
 from .channel import NakagamiLink
 from .ehmodel import EhParams
-from .errors import ValidationError
+from .errors import ValidationError, integer_field
 
 __all__ = ["ProtocolKind", "SystemParams"]
 
@@ -67,9 +68,7 @@ class SystemParams:
         for name in ("p_tx", "gamma_t", "gamma_p", "zeta"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if isinstance(self.n_tags, bool) or int(self.n_tags) != self.n_tags or self.n_tags < 1:
-            raise ValidationError(f"n_tags must be a positive integer, got {self.n_tags!r}")
-        object.__setattr__(self, "n_tags", int(self.n_tags))
+        object.__setattr__(self, "n_tags", integer_field("n_tags", self.n_tags, 1, sys.maxsize))
         if not 0 <= self.rate_threshold < 1024:
             raise ValidationError(f"rate_threshold must be in [0, 1024), where 2^R is a finite "
                                   f"float, got {self.rate_threshold}")
@@ -116,23 +115,3 @@ class SystemParams:
                     f"{name} differs across tags; the closed forms require "
                     "identically distributed tags"
                 )
-
-    def _shared(self, family: str) -> NakagamiLink:
-        self.require_homogeneous()
-        return self.links_of(family)[0]
-
-    @property
-    def eta1(self) -> float:
-        """zeta * d_s^-u_s * d_d^-u_d / gamma_p."""
-        return self.zeta * self._shared("s").path_gain * self._shared("d").path_gain / self.gamma_p
-
-    @property
-    def eta2(self) -> float:
-        """zeta * d_s^-u_s * d_e^-u_e / gamma_p."""
-        return self.zeta * self._shared("s").path_gain * self._shared("e").path_gain / self.gamma_p
-
-    @property
-    def gain_threshold(self) -> float:
-        """Squared-gain activation threshold phi / (P d_s^-u_s)."""
-        return self.eh.phi / (self.p_tx * self._shared("s").path_gain)
-

@@ -13,6 +13,7 @@ import threading
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -209,6 +210,38 @@ class TestMonteCarloAgreement:
         se = math.sqrt(p1v * (1 - p1v) / r.trials)
         assert abs(r.n_case1 / r.trials - p1v) <= 3 * se
 
+    def test_random_scenarios_agree_with_exact_forms(self):
+        """The exact SOP and IP of all four rules against one 5e4-trial run in
+        each of 40 derandomized i.i.d. scenarios: N <= 6, each m <= 4, R = 0 in
+        every fourth, random distances, rates and gamma_t.  Each unflagged value
+        must lie in the Wilson interval of its event count at the Bonferroni
+        level 1e-3 / (number of comparisons), so a correct closed form fails
+        this test for at most one MC seed in 1000."""
+        rng = random.Random(16)
+        comparisons = []
+        for i in range(40):
+            p = make_params(
+                n_tags=rng.randint(1, 6), m_s=rng.randint(1, 4), m_d=rng.randint(1, 4),
+                m_e=rng.randint(1, 4), d_s=rng.uniform(0.5, 2.0), d_d=rng.uniform(1.0, 4.0),
+                d_e=rng.uniform(1.0, 8.0), gamma_t_db=rng.uniform(-10.0, 50.0),
+                rate=0.0 if i % 4 == 0 else rng.uniform(0.1, 3.0))
+            est = estimate_all(p, McConfig(trials=50_000, seed=3))
+            for metric, fn in (("sop", analytic.sop_exact), ("ip", analytic.ip_exact)):
+                for proto in ALL:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", NumericalInstabilityWarning)
+                        value = fn(proto, p).value
+                    if not caught:
+                        e = est[(proto, metric)]
+                        comparisons.append((value, e.n_case1 + e.n_case2, e.trials,
+                                            (i, proto.value, metric)))
+        assert len(comparisons) > 300
+        z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(comparisons)))
+        for value, k, n, where in comparisons:
+            centre = (k + z * z / 2) / (n + z * z)
+            half = z / (n + z * z) * math.sqrt(k * (n - k) / n + z * z / 4)
+            assert centre - half <= value <= centre + half, (where, value, k / n)
+
     def test_mets_asymptote_against_high_snr_mc(self):
         p = make_params(gamma_t_db=80.0, n_tags=3, m=2)
         est = estimate_all(p, McConfig(trials=400_000, seed=99))
@@ -239,6 +272,62 @@ class TestAsymptotics:
             asym = analytic.sop_asymptotic(proto, p60).raw_value
             exact = analytic.sop_exact(proto, p60).raw_value
             assert abs(exact - asym) / asym < 0.01
+
+
+def _scaled_gaps(metric: str, proto, power: int, dbs, scenario: dict) -> list:
+    """(exact - asymptote) / asymptote * gamma_t^power at each gamma_t in dB."""
+    exact = getattr(analytic, f"{metric}_exact")
+    asymptote = getattr(analytic, f"{metric}_asymptotic")
+    gaps = []
+    for db in dbs:
+        p = make_params(gamma_t_db=db, **scenario)
+        limit = asymptote(proto, p).raw_value
+        gaps.append((exact(proto, p).raw_value - limit) / limit * DB(db) ** power)
+    return gaps
+
+
+# name -> (scenario, metric, power of gamma_t, window in dB, relative tolerance).
+# The SOP gap falls as 1/gamma_t, the IP gap as gamma_t^-m_s.  Each window sits
+# above the floor where exact - asymptote drowns in the exact form's rounding
+# (about 100 dB for SOP and 80 dB for IP at N = 3, m = 2).  At N = 6, m = 4 the
+# IP gap reaches that floor by 35 dB, so its window starts at 20 dB, where the
+# next order (relative 1/gamma_t) still moves the scaled gap by 0.4%.
+ORDER_CASES = {
+    "n3m2-sop": ({}, "sop", 1, (60, 80, 100), 1e-3),
+    "n3m2-ip": ({}, "ip", 2, (40, 50, 60), 1e-3),
+    "ms1-ip": ({"m_s": 1}, "ip", 1, (40, 60, 80), 1e-3),
+    "n6m4-sop": ({"n_tags": 6, "m": 4}, "sop", 1, (50, 60), 1e-3),
+    "n6m4-ip": ({"n_tags": 6, "m": 4}, "ip", 4, (20, 30), 5e-3),
+    "n6m4-sop-80db": ({"n_tags": 6, "m": 4}, "sop", 1, (60, 70, 80), 1e-3),
+}
+# At 80 dB the exact SOTS SOP of N = 6, m = 4 is 8.2229344e-06 with condition
+# 7.3e6, so its rounding (eps * condition = 1.6e-9 of the value) is 1.5% of
+# exact - asymptote (9.0e-8 of it): the scaled gap reads 8.8537, 8.8554, 8.9853
+# at 60, 70, 80 dB.
+ORDER_FLOOR = {("n6m4-sop-80db", ProtocolKind.SOTS)}
+
+
+class TestAsymptoteOrder:
+    @pytest.mark.parametrize("case, proto", [
+        pytest.param(case, proto, marks=pytest.mark.xfail(
+            strict=True, reason="exact SOTS SOP rounding is 1.5% of the gap at 80 dB"))
+        if (case, proto) in ORDER_FLOOR else (case, proto)
+        for case in ORDER_CASES for proto in ALL])
+    def test_gap_falls_as_a_power_of_snr(self, case, proto):
+        scenario, metric, power, dbs, rel = ORDER_CASES[case]
+        gaps = _scaled_gaps(metric, proto, power, dbs, scenario)
+        assert gaps[0] > 0.0
+        assert max(gaps) - min(gaps) <= rel * gaps[0], gaps
+
+    @pytest.mark.parametrize("proto", ALL)
+    def test_sop_gap_at_unit_source_shape_is_affine_in_log_snr(self, proto):
+        # K_1 brings a gamma_t^-1 ln(gamma_t) term: the scaled gap rises by
+        # equal steps at equal dB steps (SOTS 1337.6, 1399.9, 1462.1 at 80, 90,
+        # 100 dB)
+        gaps = _scaled_gaps("sop", proto, 1, (80, 90, 100), {"m_s": 1})
+        step = gaps[1] - gaps[0]
+        assert step > 0.01 * gaps[0]
+        assert gaps[2] - gaps[1] == pytest.approx(step, rel=1e-3)
 
 
 class TestSum:

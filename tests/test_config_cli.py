@@ -457,6 +457,17 @@ class TestCliCommands:
         footer = capsys.readouterr().out.splitlines()[-1]
         assert footer == f"(mc trials = 1000, seed = {seed}, batch_size = 65536)"
 
+    @pytest.mark.parametrize("command", ["validate", "oracle"])
+    def test_tag_count_no_index_can_hold_exits_2(self, command, tmp_path, capsys):
+        if command == "validate":
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(MINIMAL + "n_tags = 1e300\n")
+            argv = ["validate", "--config", str(cfg)]
+        else:
+            argv = ["oracle", "--point", "p_c=100uW", "n_tags=1e300"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: n_tags must be an integer")
+
     @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
     def test_out_of_range_point_exits_2(self, entry, capsys):
         argv = ["oracle", "--point", "p_c=100uW", *entry.split(), "--trials", "1000"]

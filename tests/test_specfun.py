@@ -20,7 +20,6 @@ from backsec.specfun import (
     multinomial_delta,
     reg_lower_inc_gamma,
     reg_upper_inc_gamma,
-    upper_inc_gamma,
 )
 
 
@@ -29,10 +28,10 @@ from backsec.specfun import (
     lambda: reg_upper_inc_gamma(2.0, math.nan),
     lambda: reg_lower_inc_gamma(math.nan, 1.0),
     lambda: reg_upper_inc_gamma(math.nan, 1.0),
-    lambda: upper_inc_gamma(2.0, math.nan),
+    lambda: reg_upper_inc_gamma(3.7, math.nan),
     lambda: bessel_k(1, math.nan),
     lambda: multinomial_delta(2, (0, 1, 1), 2, math.nan),
-], ids=["lower-x", "upper-x", "lower-m", "upper-m", "unnormalized-x", "bessel-x",
+], ids=["lower-x", "upper-x", "lower-m", "upper-m", "upper-x-fractional-m", "bessel-x",
         "delta-lambda"])
 def test_nan_argument_rejected(call):
     # a NaN fails every comparison, so each domain check must be written to
@@ -92,25 +91,30 @@ class TestRegLowerIncGamma:
 
 
 class TestUpperIncGamma:
+    """The upper incomplete gamma Gamma(m, x), read through its regularized
+    form Q(m, x) = Gamma(m, x) / Gamma(m)."""
+
     def test_at_zero_is_gamma(self):
-        assert upper_inc_gamma(3.7, 0.0) == pytest.approx(math.gamma(3.7), rel=1e-14)
+        assert reg_upper_inc_gamma(3.7, 0.0) == pytest.approx(
+            math.gamma(3.7) / math.gamma(3.7), rel=1e-14)
 
     def test_exponential_tail(self):
         for x in [0.3, 2.0, 9.0]:
-            assert upper_inc_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
+            assert reg_upper_inc_gamma(1.0, x) == pytest.approx(
+                math.exp(-x) / math.gamma(1.0), rel=1e-13)
 
     def test_frozen_quadrature_value(self):
         # quadrature of t exp(-t) on [1.5, inf)
-        assert upper_inc_gamma(2.0, 1.5) == pytest.approx(
-            0.5578254003710745723332, rel=1e-13)
+        assert reg_upper_inc_gamma(2.0, 1.5) == pytest.approx(
+            0.5578254003710745723332 / math.gamma(2.0), rel=1e-13)
 
     def test_complement_identity(self):
         # abs floor covers the tail, where 1 - P itself cancels in float64
         for m in [0.8, 2.0, 5.0]:
             for x in [0.1, 1.0, 4.0, 12.0]:
-                lhs = upper_inc_gamma(m, x)
-                rhs = math.gamma(m) * (1.0 - reg_lower_inc_gamma(m, x))
-                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15 * math.gamma(m))
+                lhs = reg_upper_inc_gamma(m, x)
+                rhs = 1.0 - reg_lower_inc_gamma(m, x)
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     def test_regularized_complement_no_cancellation(self):
         q = reg_upper_inc_gamma(2.0, 60.0)

@@ -2,14 +2,17 @@
 and the SNRs the Monte Carlo kernel forms from them."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from backsec.analytic import _derived
 from backsec.channel import NakagamiLink
 from backsec.ehmodel import optimal_reflection
 from backsec.errors import ValidationError
-from backsec.montecarlo import _kernel_args
+from backsec.montecarlo import McConfig, _kernel_args
 from backsec.system import SystemParams
 
 from conftest import EH_DEFAULT, make_params
@@ -37,12 +40,13 @@ class TestSystemParams:
     def test_eta_definitions(self):
         p = make_params()
         ls, ld, le = p.links_of("s")[0], p.links_of("d")[0], p.links_of("e")[0]
-        assert p.eta1 == pytest.approx(p.zeta * ls.path_gain * ld.path_gain / p.gamma_p)
-        assert p.eta2 == pytest.approx(p.zeta * ls.path_gain * le.path_gain / p.gamma_p)
+        d = _derived(p)
+        assert d.eta1 == pytest.approx(p.zeta * ls.path_gain * ld.path_gain / p.gamma_p)
+        assert d.eta2 == pytest.approx(p.zeta * ls.path_gain * le.path_gain / p.gamma_p)
 
     def test_gain_threshold(self):
         p = make_params()
-        a = p.gain_threshold
+        a = _derived(p).a
         assert a == pytest.approx(p.eh.phi / (p.p_tx * p.links_of("s")[0].path_gain))
 
     def test_per_tag_links_accepted_but_checked(self):
@@ -68,12 +72,12 @@ class TestSystemParams:
         same = SystemParams(link_e=(link, NakagamiLink(link.m, link.omega, link.distance,
                                                        link.pathloss_exp)), **fields)
         same.require_homogeneous()
-        assert same.eta2 == p.eta2
+        assert _derived(same).eta2 == _derived(p).eta2
         het = SystemParams(link_e=(link, other), **fields)
         with pytest.raises(ValidationError, match="link_e"):
             het.require_homogeneous()
         with pytest.raises(ValidationError):
-            het.eta1
+            _derived(het)
 
     @pytest.mark.parametrize("d_s", [1e10, 1e50], ids=["overflows", "received-underflows"])
     def test_infinite_activation_threshold_rejected(self, d_s):
@@ -84,7 +88,7 @@ class TestSystemParams:
         far = NakagamiLink(near.m, near.omega, d_s, near.pathloss_exp)
         fields = dict(gamma_t=p.gamma_t, gamma_p=p.gamma_p, zeta=p.zeta, n_tags=2,
                       rate_threshold=0.5, link_d=p.link_d, link_e=p.link_e, eh=p.eh)
-        assert SystemParams(p_tx=1e-300, link_s=near, **fields).gain_threshold < math.inf
+        assert _derived(SystemParams(p_tx=1e-300, link_s=near, **fields)).a < math.inf
         with pytest.raises(ValidationError, match="activation threshold.*tag 1"):
             SystemParams(p_tx=1e-300, link_s=(near, far), **fields)
 
@@ -156,3 +160,27 @@ class TestDrawRealizations:
         for g_s in draws:
             beta = optimal_reflection(p.eh, p.p_tx, ls, g_s)
             assert max(g_s - thr, 0.0) == pytest.approx(beta * g_s, rel=1e-12)
+
+
+# field -> (build an object with that field set to the value, the out-of-range
+# values it must reject).  Every value above sys.maxsize fails before anything
+# is sized by it; N or m between 1e6 and 1e12 could allocate gigabytes first.
+INTEGER_FIELDS = {
+    "trials": (lambda v: McConfig(trials=v), (0,)),
+    "seed": (lambda v: McConfig(trials=1000, seed=v), (-1, 2 ** 64)),
+    "batch_size": (lambda v: McConfig(trials=1000, batch_size=v), (0,)),
+    "workers": (lambda v: McConfig(trials=1000, workers=v), (0,)),
+    "n_tags": (lambda v: replace(make_params(), n_tags=v), (0, 1e300, sys.maxsize + 1)),
+    "m": (lambda v: replace(make_params().link_s, m=v), (0, 1e300, sys.maxsize + 1)),
+}
+NOT_INTEGERS = (True, 1.5, math.nan, math.inf, "3")
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_rule(field):
+    build, out_of_range = INTEGER_FIELDS[field]
+    for value in NOT_INTEGERS + out_of_range:
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            build(value)
+    built = build(3.0)
+    assert type(getattr(built, field)) is int and getattr(built, field) == 3
