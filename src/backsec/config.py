@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from operator import attrgetter
 
 from .channel import NakagamiLink
 from .ehmodel import EhParams
@@ -28,6 +27,10 @@ __all__ = ["SweepSpec", "load_config", "loads_config", "preset_names", "preset_t
 
 AXES = ("gamma_t_db", "d_d", "d_e", "rate", "m_all")
 METHODS = ("exact", "asymptotic", "mc")
+# word-valued key -> (its allowed values in canonical order, whether it takes
+# exactly one); a value's word is how to_text prints it
+_CHOICES = {"metric": (("sop", "ip"), True), "methods": (METHODS, False),
+            "protocols": (PROTOCOL_ORDER, False), "axis": (AXES, True)}
 
 _DB = "db"
 _POWER = "power"
@@ -38,50 +41,55 @@ _WORDS = "words"
 _FLOATS = "floats"
 
 
-def _link(family: str, attr: str):
-    return lambda spec: getattr(spec.base.links_of(family)[0], attr)
-
-
 # key -> (kind, default in config syntax or None where the config must set the
-# key, reader of the resolved value from a SweepSpec).  Defaults are parsed
-# like user values; to_text emits str() of each reader, in this order.
+# key, owner, field): the field of the SweepSpec ("spec"), of its base scenario
+# ("base"), harvester ("eh"), link family ("s", "d", "e") or budget ("mc") that
+# the key sets.  Defaults are parsed like user values; to_text prints each
+# field back, in this order.
 _KEYS = {
-    "metric": (_WORDS, "sop", attrgetter("metric")),
-    "methods": (_WORDS, "exact, asymptotic, mc", lambda s: ", ".join(s.methods)),
-    "protocols": (_WORDS, "sots, mets, ots, rts",
-                  lambda s: ", ".join(p.value for p in s.protocols)),
-    "axis": (_WORDS, "gamma_t_db", attrgetter("axis")),
-    "axis_values": (_FLOATS, "0, 5, 10, 15, 20, 25, 30, 35, 40",
-                    lambda s: ", ".join(map(str, s.axis_values))),
-    "gamma_t": (_DB, "30 dB", attrgetter("base.gamma_t")),
-    "p_tx": (_POWER, "1 W", attrgetter("base.p_tx")),
-    "gamma_p": (_DB, "5 dB", attrgetter("base.gamma_p")),
-    "zeta": (_PLAIN, "2.2", attrgetter("base.zeta")),
-    "n_tags": (_INT, "3", attrgetter("base.n_tags")),
-    "rate": (_PLAIN, "0.5", attrgetter("base.rate_threshold")),
-    "m_sk": (_INT, "2", _link("s", "m")),
-    "m_kd": (_INT, "2", _link("d", "m")),
-    "m_ke": (_INT, "2", _link("e", "m")),
-    "lambda_sk": (_DB, "2 dB", _link("s", "lambda_tilde")),
-    "lambda_kd": (_DB, "3 dB", _link("d", "lambda_tilde")),
-    "lambda_ke": (_DB, "5 dB", _link("e", "lambda_tilde")),
-    "d_s": (_DISTANCE, "1 m", _link("s", "distance")),
-    "d_d": (_DISTANCE, "2 m", _link("d", "distance")),
-    "d_e": (_DISTANCE, "4 m", _link("e", "distance")),
-    "u_s": (_PLAIN, "2", _link("s", "pathloss_exp")),
-    "u_d": (_PLAIN, "2", _link("d", "pathloss_exp")),
-    "u_e": (_PLAIN, "2", _link("e", "pathloss_exp")),
+    "metric": (_WORDS, "sop", "spec", "metric"),
+    "methods": (_WORDS, "exact, asymptotic, mc", "spec", "methods"),
+    "protocols": (_WORDS, "sots, mets, ots, rts", "spec", "protocols"),
+    "axis": (_WORDS, "gamma_t_db", "spec", "axis"),
+    "axis_values": (_FLOATS, "0, 5, 10, 15, 20, 25, 30, 35, 40", "spec", "axis_values"),
+    "gamma_t": (_DB, "30 dB", "base", "gamma_t"),
+    "p_tx": (_POWER, "1 W", "base", "p_tx"),
+    "gamma_p": (_DB, "5 dB", "base", "gamma_p"),
+    "zeta": (_PLAIN, "2.2", "base", "zeta"),
+    "n_tags": (_INT, "3", "base", "n_tags"),
+    "rate": (_PLAIN, "0.5", "base", "rate_threshold"),
+    "m_sk": (_INT, "2", "s", "m"),
+    "m_kd": (_INT, "2", "d", "m"),
+    "m_ke": (_INT, "2", "e", "m"),
+    "lambda_sk": (_DB, "2 dB", "s", "lambda_tilde"),
+    "lambda_kd": (_DB, "3 dB", "d", "lambda_tilde"),
+    "lambda_ke": (_DB, "5 dB", "e", "lambda_tilde"),
+    "d_s": (_DISTANCE, "1 m", "s", "distance"),
+    "d_d": (_DISTANCE, "2 m", "d", "distance"),
+    "d_e": (_DISTANCE, "4 m", "e", "distance"),
+    "u_s": (_PLAIN, "2", "s", "pathloss_exp"),
+    "u_d": (_PLAIN, "2", "d", "pathloss_exp"),
+    "u_e": (_PLAIN, "2", "e", "pathloss_exp"),
     # not "200 uW" / "5 uW": 200 * 1e-6 and 5 * 1e-6 are not 2e-4 and 5e-6
-    "p_max": (_POWER, "2e-4 W", attrgetter("base.eh.p_max")),
-    "xi0": (_POWER, "5e-6 W", attrgetter("base.eh.xi0")),
-    "xi1": (_PLAIN, "5000", attrgetter("base.eh.xi1")),
-    "xi2": (_PLAIN, "2e-4", attrgetter("base.eh.xi2")),
-    "p_c": (_POWER, None, attrgetter("base.eh.p_c")),
-    "trials": (_INT, "1000000", attrgetter("mc.trials")),
-    "seed": (_INT, "1", attrgetter("mc.seed")),
-    "batch_size": (_INT, "65536", attrgetter("mc.batch_size")),
-    "workers": (_INT, "1", attrgetter("mc.workers")),
+    "p_max": (_POWER, "2e-4 W", "eh", "p_max"),
+    "xi0": (_POWER, "5e-6 W", "eh", "xi0"),
+    "xi1": (_PLAIN, "5000", "eh", "xi1"),
+    "xi2": (_PLAIN, "2e-4", "eh", "xi2"),
+    "p_c": (_POWER, None, "eh", "p_c"),
+    "trials": (_INT, "1000000", "mc", "trials"),
+    "seed": (_INT, "1", "mc", "seed"),
+    "batch_size": (_INT, "65536", "mc", "batch_size"),
+    "workers": (_INT, "1", "mc", "workers"),
 }
+
+
+def _show(value) -> str:
+    """A resolved field in config syntax: a tuple as its items joined by ', ',
+    a ProtocolKind as its value."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_show, value))
+    return value.value if isinstance(value, ProtocolKind) else str(value)
+
 
 _NUM_UNIT = re.compile(
     r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)\s*$")
@@ -134,8 +142,11 @@ class SweepSpec:
         """Emit the resolved configuration (all linear units); reloading the
         result reproduces this spec exactly."""
         self.base.require_homogeneous()
+        owners = {"spec": self, "base": self.base, "eh": self.base.eh, "mc": self.mc,
+                  **{fam: self.base.links_of(fam)[0] for fam in "sde"}}
         lines = ["# resolved configuration (linear units)"]
-        lines += [f"{key} = {read(self)}" for key, (_, _, read) in _KEYS.items()]
+        lines += [f"{key} = {_show(getattr(owners[owner], field))}"
+                  for key, (_, _, owner, field) in _KEYS.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -158,83 +169,55 @@ def _parse_lines(text: str) -> dict:
     return parsed
 
 
+def _read(key: str, kind: str, raw: str, line_no: int):
+    """The resolved value of one key.  A word-valued key names exactly one
+    allowed value, or a non-empty subset of them returned in canonical order."""
+    if kind == _WORDS:
+        choices, single = _CHOICES[key]
+        given = [w.strip().lower() for w in raw.split(",") if w.strip()]
+        words = [_show(c) for c in choices]
+        if not given or not set(given) <= set(words) or single and len(given) != 1:
+            rule = "one of" if single else "a non-empty subset of"
+            raise ValidationError(f"{key} must be {rule} {', '.join(words)}; got {raw!r}")
+        chosen = tuple(c for c, w in zip(choices, words) if w in given)
+        return chosen[0] if single else chosen
+    if kind == _FLOATS:
+        return tuple(_parse_scalar(key, _PLAIN, tok, line_no)
+                     for tok in map(str.strip, raw.split(",")) if tok)
+    scalar = _parse_scalar(key, kind, raw, line_no)
+    if kind == _INT:
+        # the literal itself, not its float: 2^53 + 1 and 2^64 - 1 are exact
+        exact = Decimal(_NUM_UNIT.match(raw).group(1))
+        if exact != exact.to_integral_value():
+            raise ConfigParseError(f"key {key!r} must be an integer", line_no)
+        return int(exact)
+    return scalar
+
+
 def loads_config(text: str) -> SweepSpec:
     """Parse and validate a config document from a string."""
     parsed = _parse_lines(text)
-
-    def get(key: str):
-        kind, default, _ = _KEYS[key]
-        value, line_no = parsed.get(key, (default, 0))
-        if value is None:
+    fields = {owner: {} for _, _, owner, _ in _KEYS.values()}
+    for key, (kind, default, owner, field) in _KEYS.items():
+        raw, line_no = parsed.get(key, (default, 0))
+        if raw is None:
             raise ValidationError(
                 f"config must set {key!r} explicitly (e.g. 'p_c = 100 uW'); "
                 "the stock harvester constants leave it ambiguous"
             )
-        if kind == _WORDS:
-            return tuple(w.strip().lower() for w in value.split(",") if w.strip())
-        if kind == _FLOATS:
-            return tuple(_parse_scalar(key, _PLAIN, tok, line_no)
-                         for tok in map(str.strip, value.split(",")) if tok)
-        scalar = _parse_scalar(key, kind, value, line_no)
-        if kind == _INT:
-            # the literal itself, not its float: 2^53 + 1 and 2^64 - 1 are exact
-            exact = Decimal(_NUM_UNIT.match(value).group(1))
-            if exact != exact.to_integral_value():
-                raise ConfigParseError(f"key {key!r} must be an integer", line_no)
-            return int(exact)
-        return scalar
+        fields[owner][field] = _read(key, kind, raw, line_no)
 
-    metric_words = get("metric")
-    if len(metric_words) != 1 or metric_words[0] not in ("sop", "ip"):
-        raise ValidationError(f"metric must be 'sop' or 'ip', got {metric_words}")
-    metric = metric_words[0]
-
-    methods = get("methods")
-    bad = [m for m in methods if m not in METHODS]
-    if bad or not methods:
-        raise ValidationError(f"methods must be a subset of {METHODS}, got {methods}")
-    methods = tuple(m for m in METHODS if m in methods)
-
-    proto_words = get("protocols")
-    try:
-        chosen = tuple(ProtocolKind(w) for w in proto_words)
-    except ValueError:
-        raise ValidationError(f"protocols must be among sots/mets/ots/rts, got {proto_words}") from None
-    if not chosen:
-        raise ValidationError("protocols must not be empty")
-    protocols = tuple(p for p in PROTOCOL_ORDER if p in chosen)
-
-    axis_words = get("axis")
-    if len(axis_words) != 1 or axis_words[0] not in AXES:
-        raise ValidationError(f"axis must be one of {AXES}, got {axis_words}")
-    axis = axis_words[0]
-
-    axis_values = get("axis_values")
+    axis, axis_values = fields["spec"]["axis"], fields["spec"]["axis_values"]
     if not axis_values:
         raise ValidationError("axis_values must not be empty")
     if any(b <= a for a, b in zip(axis_values, axis_values[1:])):
         raise ValidationError(f"axis_values must be strictly increasing, got {axis_values}")
-
-    eh = EhParams(p_max=get("p_max"), xi0=get("xi0"), xi1=get("xi1"),
-                  xi2=get("xi2"), p_c=get("p_c"))
-    base = SystemParams(
-        p_tx=get("p_tx"),
-        gamma_t=get("gamma_t"),
-        gamma_p=get("gamma_p"),
-        zeta=get("zeta"),
-        n_tags=get("n_tags"),
-        rate_threshold=get("rate"),
-        link_s=NakagamiLink.from_lambda_tilde(get("m_sk"), get("lambda_sk"), get("d_s"), get("u_s")),
-        link_d=NakagamiLink.from_lambda_tilde(get("m_kd"), get("lambda_kd"), get("d_d"), get("u_d")),
-        link_e=NakagamiLink.from_lambda_tilde(get("m_ke"), get("lambda_ke"), get("d_e"), get("u_e")),
-        eh=eh,
-    )
+    base = SystemParams(**fields["base"], eh=EhParams(**fields["eh"]),
+                        **{f"link_{fam}": NakagamiLink.from_lambda_tilde(**fields[fam])
+                           for fam in "sde"})
     for value in axis_values:  # every sweep point must be a valid scenario
         apply_axis(base, axis, value)
-    mc = McConfig(trials=get("trials"), seed=get("seed"),
-                  batch_size=get("batch_size"), workers=get("workers"))
-    return SweepSpec(metric=metric, methods=methods, protocols=protocols,
-                     axis=axis, axis_values=axis_values, base=base, mc=mc)
+    return SweepSpec(**fields["spec"], base=base, mc=McConfig(**fields["mc"]))
 
 
 def load_config(path) -> SweepSpec:

@@ -6,6 +6,7 @@ Carlo estimator (statistical, used broadly here and in the acceptance
 suite).
 """
 
+import hashlib
 import math
 import random
 import sys
@@ -20,7 +21,7 @@ import pytest
 from scipy import integrate
 
 from backsec import analytic
-from backsec.config import apply_axis
+from backsec.config import apply_axis, loads_config, preset_names, preset_text
 from backsec.errors import NumericalInstabilityWarning, ValidationError
 from backsec.montecarlo import McConfig, estimate_all
 from backsec.specfun import (
@@ -680,6 +681,22 @@ class TestBitIdentity:
         ip_terms = reports["ip_exact", ProtocolKind.SOTS].term_breakdown
         assert [k for k in sop_terms if k.startswith("p2.comp")] == ["p2." + k for k in order]
         assert [k for k in ip_terms if k.startswith("comp")] == order
+
+    def test_preset_points_frozen(self):
+        # at the reference seed the benchmark's presets_mc workload pins each
+        # preset's whole sweep CSV, so a last-bit move at any of the 44 preset
+        # points fails it: pin every raw value and instability flag there
+        digest = hashlib.sha256()
+        for name in preset_names():
+            spec = loads_config(preset_text(name))
+            for value in spec.axis_values:
+                params = apply_axis(spec.base, spec.axis, value)
+                for form, proto in ORDER:
+                    raw, _, flags = _observed(form, proto, params)
+                    digest.update(f"{name} {value!r} {form} {proto.value} {raw} "
+                                  f"{flags > 0}\n".encode())
+        assert digest.hexdigest() == ("2c427f0c79388df6e70ce15d9e6008465c233d0511754619"
+                                      "217fc0b3378330db")
 
     @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(FROZEN_MIXED))
     def test_mixed_shape_raw_values_frozen(self, n, m_s, m_d, m_e):

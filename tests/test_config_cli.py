@@ -222,6 +222,49 @@ class TestParsing:
         with pytest.raises(ValidationError):
             loads_config(MINIMAL + "axis = m_all\naxis_values = 1, 2.5\n")
 
+    @pytest.mark.parametrize("key, raw, expected", [
+        ("metric", "SOP", "sop"), ("metric", "ipp", None), ("metric", ",", None),
+        ("metric", "sop, ip", None), ("metric", "sop, sop", None),
+        ("methods", "MC, mc, Exact", ("exact", "mc")), ("methods", "exact, wrong", None),
+        ("methods", ",", None),
+        ("protocols", "RTS, sots, rts", (ProtocolKind.SOTS, ProtocolKind.RTS)),
+        ("protocols", "sots, best", None), ("protocols", ",", None),
+        ("axis", "D_E", "d_e"), ("axis", "distance", None), ("axis", ",", None),
+        ("axis", "d_d, d_e", None),
+    ])
+    def test_word_keys_take_one_rule(self, key, raw, expected):
+        # metric and axis name exactly one allowed word; methods and protocols
+        # a non-empty subset, read in canonical order; case and repeats do not
+        # matter, and every rejection names the key, the words and the input
+        allowed = {"metric": "sop, ip", "methods": "exact, asymptotic, mc",
+                   "protocols": "sots, mets, ots, rts",
+                   "axis": "gamma_t_db, d_d, d_e, rate, m_all"}[key]
+        text = MINIMAL + f"{key} = {raw}\naxis_values = 2, 3\n"
+        if expected is not None:
+            assert getattr(loads_config(text), key) == expected
+            return
+        with pytest.raises(ValidationError) as err:
+            loads_config(text)
+        message = str(err.value)
+        assert message.startswith(f"{key} must be ")
+        assert allowed in message and repr(raw) in message
+
+    def test_empty_value_rejected(self):
+        with pytest.raises(ConfigParseError, match="empty value for key 'p_c'"):
+            loads_config("p_c =\n")
+
+    def test_empty_axis_values_rejected(self):
+        with pytest.raises(ValidationError, match="axis_values must not be empty"):
+            loads_config(MINIMAL + "axis_values = ,\n")
+
+    @pytest.mark.parametrize("line, field", [
+        ("u_s = 0", "pathloss_exp"), ("lambda_sk = 0", "lambda_tilde"),
+        ("xi2 = 0", "xi2"), ("p_c = 0 W", "p_c"),
+    ])
+    def test_non_positive_value_names_the_field(self, line, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be positive"):
+            loads_config(MINIMAL + line + "\n")
+
     def test_method_and_protocol_subsets(self):
         spec = loads_config(MINIMAL + "methods = mc\nprotocols = ots, sots\n")
         assert spec.methods == ("mc",)
@@ -318,6 +361,10 @@ class TestApplyAxis:
             assert moved.links_of(fam)[0].lambda_tilde == pytest.approx(
                 base.links_of(fam)[0].lambda_tilde)
         assert apply_axis(base, "m_all", 4.0) == moved
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValidationError, match="unknown axis 'bogus'"):
+            apply_axis(loads_config(MINIMAL).base, "bogus", 1.0)
 
     def test_m_axis_rejects_non_integer(self):
         with pytest.raises(ValidationError):
@@ -511,6 +558,11 @@ class TestCliCommands:
         cfg.write_text(MINIMAL + f"axis_values = {values}\nmethods = exact\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_oracle_point_without_equals_exits_2(self, capsys):
+        assert cli.main(["oracle", "--point", "foo"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: oracle point entries must look like key=value")
 
     def test_oracle_requires_p_c(self, capsys):
         assert cli.main(["oracle", "--point", "gamma_t=20dB", "--trials", "1000"]) == 2

@@ -132,6 +132,11 @@ class TestOptimalReflection:
         else:
             assert received <= EH_DEFAULT.phi
 
+    @pytest.mark.parametrize("p_tx, g_sk_sq, name", [(0.0, 1.0, "p_tx"), (1.0, 0.0, "g_sk_sq")])
+    def test_non_positive_input_rejected(self, p_tx, g_sk_sq, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            optimal_reflection(EH_DEFAULT, p_tx, self.LINK, g_sk_sq)
+
     def test_monotone_in_gain(self):
         gains = np.linspace(1e-5, 5e-3, 300)
         betas = [optimal_reflection(EH_DEFAULT, 1.0, self.LINK, g) for g in gains]

@@ -6,9 +6,13 @@ kernel, so a slot-mapping or selection bug in it cannot hide.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,3 +389,15 @@ class TestRegressionFixtures:
         est = estimate_all(p, McConfig(trials=200_000, seed=20240601))[(ProtocolKind.OTS, "ip")]
         assert est.p_hat == pytest.approx(5e-06, abs=1e-12)
         assert (est.n_case1, est.n_case2) == (0, 1)
+
+    def test_mc_digest_tool(self):
+        # tools/mc_digest.py hashes the counts of 195 estimate_all calls; a
+        # change to the stream on purpose updates this pin
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "tools/mc_digest.py"], capture_output=True,
+                              text=True, cwd=str(root), env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("sha256=f683827a291a9c706bc1e1fa0fea244f4d3ae7498e11619c"
+                               "fa3ab20423469db6 calls=195\n")

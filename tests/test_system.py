@@ -104,6 +104,11 @@ class TestSystemParams:
                              n_tags=3, rate_threshold=rate, link_s=p.link_s, link_d=p.link_d,
                              link_e=p.link_e, eh=p.eh)
 
+    @pytest.mark.parametrize("field", ["link_s", "eh"])
+    def test_wrong_part_type_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            replace(make_params(), **{field: "not a part"})
+
 
 class TestSnr:
     def test_zero_when_unpowered(self):
