@@ -59,8 +59,9 @@ __all__ = [
     "sop_exact",
 ]
 
-# Alternating sums whose magnitude/result ratio exceeds this raise a
-# NumericalInstabilityWarning (the CLI maps it to a dedicated exit code).
+# Alternating sums and one-tag complements 1 - x whose magnitude/result ratio
+# exceeds this raise a NumericalInstabilityWarning (the CLI maps it to a
+# dedicated exit code).
 CANCELLATION_THRESHOLD = 1e12
 
 
@@ -332,7 +333,7 @@ def _cmp_single(d: _Derived, x: float, breakdown: dict, minimum_stat: bool) -> f
     for j, weight in enumerate(_poisson_weights(d)):
         term = breakdown[f"j={j}"] = weight * x ** j * moments[j]
         total += term
-    return 1.0 - total
+    return _checked(_sum((1.0, -total)), "comparison complement")
 
 
 def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> float:
@@ -383,7 +384,8 @@ def _single(d: _Derived, protocol: ProtocolKind, kind: str, breakdown: dict) -> 
         if protocol is ProtocolKind.SOTS:
             p2 = breakdown["p2"] = _sots_p2(d, breakdown)
             return breakdown["p1"] + p2
-        single = 1.0 - _single_tail(d, breakdown, protocol is ProtocolKind.METS)
+        tail = _single_tail(d, breakdown, protocol is ProtocolKind.METS)
+        single = _checked(_sum((1.0, -tail)), "outage complement")
         breakdown["p2"] = single - breakdown["p1"]
         return single
     x = d.cap_b if kind == "asymptotic_sop" else d.c

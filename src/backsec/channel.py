@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError, integer_field
+from .errors import ValidationError, integer_field, real_field
 
 __all__ = ["NakagamiLink"]
 
@@ -27,13 +27,8 @@ class NakagamiLink:
 
     def __post_init__(self):
         object.__setattr__(self, "m", integer_field("m", self.m, 1, sys.maxsize))
-        if not 0 < self.omega <= sys.float_info.max:
-            raise ValidationError(f"omega = m/lambda_tilde must be positive and at most "
-                                  f"{sys.float_info.max:.4g}, got {self.omega}")
-        if not self.distance > 0:
-            raise ValidationError(f"distance must be positive, got {self.distance}")
-        if not self.pathloss_exp > 0:
-            raise ValidationError(f"pathloss_exp must be positive, got {self.pathloss_exp}")
+        for name in ("omega", "distance", "pathloss_exp"):
+            object.__setattr__(self, name, real_field(name, getattr(self, name)))
         try:
             gain = self.path_gain
         except OverflowError:
@@ -54,7 +49,5 @@ class NakagamiLink:
     @classmethod
     def from_lambda_tilde(cls, m: int, lambda_tilde: float, distance: float,
                           pathloss_exp: float) -> "NakagamiLink":
-        if not lambda_tilde > 0:
-            raise ValidationError(f"lambda_tilde must be positive, got {lambda_tilde}")
-        return cls(m, m / lambda_tilde, distance, pathloss_exp)
+        return cls(m, m / real_field("lambda_tilde", lambda_tilde), distance, pathloss_exp)
 

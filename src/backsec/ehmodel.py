@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import NakagamiLink
-from .errors import ValidationError
+from .errors import ValidationError, real_field
 
 __all__ = ["EhParams", "harvested_power", "optimal_reflection"]
 
@@ -36,16 +36,8 @@ class EhParams:
     p_c: float
 
     def __post_init__(self):
-        if not self.p_max > 0:
-            raise ValidationError(f"p_max must be positive, got {self.p_max}")
-        if not self.xi0 >= 0:
-            raise ValidationError(f"xi0 must be non-negative, got {self.xi0}")
-        if not self.xi1 > 0:
-            raise ValidationError(f"xi1 must be positive, got {self.xi1}")
-        if not self.xi2 > 0:
-            raise ValidationError(f"xi2 must be positive, got {self.xi2}")
-        if not self.p_c > 0:
-            raise ValidationError(f"p_c must be positive, got {self.p_c}")
+        for name in ("p_max", "xi0", "xi1", "xi2", "p_c"):
+            object.__setattr__(self, name, real_field(name, getattr(self, name), closed=name == "xi0"))
         if self.p_c >= self.p_max:
             raise ValidationError(
                 f"p_c ({self.p_c} W) must be below p_max ({self.p_max} W): "

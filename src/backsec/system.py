@@ -7,14 +7,13 @@ derive their constants from these fields."""
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Union
 
 from .channel import NakagamiLink
 from .ehmodel import EhParams
-from .errors import ValidationError, integer_field
+from .errors import ValidationError, integer_field, real_field
 
 __all__ = ["ProtocolKind", "SystemParams"]
 
@@ -66,12 +65,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("p_tx", "gamma_t", "gamma_p", "zeta"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, real_field(name, getattr(self, name)))
+        object.__setattr__(self, "rate_threshold",  # 2^R must be a finite float
+                           real_field("rate_threshold", self.rate_threshold, 0.0, 1024.0, True))
         object.__setattr__(self, "n_tags", integer_field("n_tags", self.n_tags, 1, sys.maxsize))
-        if not 0 <= self.rate_threshold < 1024:
-            raise ValidationError(f"rate_threshold must be in [0, 1024), where 2^R is a finite "
-                                  f"float, got {self.rate_threshold}")
         for name in ("link_s", "link_d", "link_e"):
             _check_links(name, getattr(self, name), self.n_tags)
         if not isinstance(self.eh, EhParams):
@@ -96,8 +93,7 @@ class SystemParams:
 
     def with_transmit_snr(self, gamma_t: float) -> "SystemParams":
         """Rescale to a new transmit SNR at fixed noise power (p_tx co-varies)."""
-        if not 0 < gamma_t < math.inf:
-            raise ValidationError(f"gamma_t must be positive and finite, got {gamma_t}")
+        gamma_t = real_field("gamma_t", gamma_t)
         return replace(self, gamma_t=gamma_t, p_tx=self.noise_power * gamma_t)
 
     def links_of(self, family: str) -> tuple:

@@ -412,6 +412,23 @@ class TestSotsComparisonOracle:
             bound = 4 * sys.float_info.epsilon * condition
             assert error <= bound, (form.__name__, error, condition)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="condition below the threshold still allows a 1e-4 error")
+    @pytest.mark.parametrize("form, n, m", [("ip_asymptotic", 8, 2), ("sop_asymptotic", 8, 3)])
+    def test_unflagged_asymptote_is_accurate(self, form, n, m):
+        # an asymptote returned without a flag should hold about nine digits;
+        # flagging these two, or summing them more accurately, passes this
+        p = make_params(gamma_t_db=30.0, n_tags=n, m=m, d_e=6.0)
+        d = analytic._derived(p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = getattr(analytic, form)(ProtocolKind.SOTS, p)
+        if any(issubclass(w.category, NumericalInstabilityWarning) for w in caught):
+            return
+        exact = exact_cmp_max(d, d.c if form == "ip_asymptotic" else d.cap_b)
+        error = float(abs(Fraction(rep.raw_value) - exact) / exact)
+        assert error <= 1e-9, error
+
 
 class TestIntercept:
     def test_distant_eavesdropper_reduces_to_p1(self):
@@ -532,6 +549,21 @@ class TestReportMechanics:
             warnings.simplefilter("always")
             analytic.sop_exact(ProtocolKind.SOTS, p)
         assert any(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
+
+    @pytest.mark.parametrize("form, label, raw", [
+        ("ip_exact", "comparison complement", "7.453198439577404e-13"),
+        ("sop_exact", "outage complement", "9.72111280361787e-13"),
+    ])
+    def test_single_tag_complement_is_checked(self, form, label, raw):
+        # 1 - x for the METS comparison sum and outage tail loses about 12
+        # digits here; the flag names the complement and the value is as before
+        base = replace(loads_config(preset_text("fig2")).base, n_tags=2)
+        for axis, value in (("m_all", 3), ("gamma_t_db", 40.0), ("d_d", 0.5),
+                            ("d_e", 50.0), ("rate", 0.1)):
+            base = apply_axis(base, axis, value)
+        with pytest.warns(NumericalInstabilityWarning, match=f"^{label}: "):
+            report = getattr(analytic, form)(ProtocolKind.METS, base)
+        assert repr(report.raw_value) == raw
 
     def test_no_warning_at_default_threshold(self):
         p = make_params(n_tags=4, m=3)

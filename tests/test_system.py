@@ -189,3 +189,35 @@ def test_integer_rule(field):
             build(value)
     built = build(3.0)
     assert type(getattr(built, field)) is int and getattr(built, field) == 3
+
+
+# field -> (build an object from the value, a valid int, the out-of-range
+# values it must reject).  The harvester builds move p_max or xi1 where the
+# stock constants leave no valid int.
+REAL_FIELDS = {
+    **{name: (lambda v, name=name: replace(make_params(), **{name: v}), 3, (0, -1.0))
+       for name in ("p_tx", "gamma_t", "gamma_p", "zeta")},
+    "rate_threshold": (lambda v: replace(make_params(), rate_threshold=v), 3,
+                       (-0.5, 1024, 1e300)),
+    "with_transmit_snr.gamma_t": (lambda v: make_params().with_transmit_snr(v), 3, (0, -1.0)),
+    **{name: (lambda v, name=name: replace(make_params().link_s, **{name: v}), 3, (0, -2.0))
+       for name in ("omega", "distance", "pathloss_exp")},
+    "lambda_tilde": (lambda v: NakagamiLink.from_lambda_tilde(2, v, 1.0, 2.0), 3, (0, -1.0)),
+    "p_max": (lambda v: replace(EH_DEFAULT, p_max=v), 3, (0, -1e-6)),
+    "xi0": (lambda v: replace(EH_DEFAULT, xi0=v), 0, (-5e-6,)),
+    "xi1": (lambda v: replace(EH_DEFAULT, xi1=v), 3, (0, -1.0)),
+    "xi2": (lambda v: replace(EH_DEFAULT, xi1=1.0, xi2=v), 3, (0, -1.0)),
+    "p_c": (lambda v: replace(EH_DEFAULT, p_max=10.0, p_c=v), 3, (0, -1e-6)),
+}
+NOT_REALS = (True, False, "3", None, 1j, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("key", REAL_FIELDS)
+def test_real_rule(key):
+    build, valid, out_of_range = REAL_FIELDS[key]
+    field = key.rpartition(".")[2]
+    for value in NOT_REALS + out_of_range:
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            build(value)
+    stored = getattr(build(valid), field)
+    assert type(stored) is float and stored == valid

@@ -26,20 +26,27 @@ Bessel tables the exact SOP reads.
 Each evaluation contributes ``repr(raw_value)``, ``repr(dict(term_breakdown))``
 and the message of every ``NumericalInstabilityWarning`` it raised to the full
 digest (``sha256=``), and the same without the breakdown to the values digest
-(``values=``).  The raw values of the evaluations that raised no warning go
-to a third digest (``unflagged=``): a change that moves only flagged values
-keeps it.  The set is evaluated three ways: the 16 forms forward on one
-params object, in reverse on one object, and each form on its own
+(``values=``).  The raw values alone go to the raw digest (``raw=``): a change
+that adds or removes warnings but moves no value keeps it.  The raw values of
+the evaluations that raised no warning go to a fourth digest (``unflagged=``):
+a change that moves only flagged values keeps it.  A last line per set counts
+the warnings by label, the message text before the first ``:``, so a change
+that moves only flags names the check that moved.  The tool reads only public
+names, so the same file runs against an older ``src/``.
+
+The set is evaluated three ways: the 16 forms forward on one params object, in
+reverse on one object, and each form on its own
 ``dataclasses.replace(params)``.  Each way hashes the evaluations in the
 forward order, so the three ways agree when sharing terms between the forms of
 one object changes nothing.  A change that keeps the closed forms bit for bit
-leaves both digests and both counts as they were; one that renames or adds
+leaves every digest and count as they were; one that renames or adds
 breakdown parts but keeps every number and warning moves the full digest and
 keeps the values digest.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import sys
@@ -133,33 +140,42 @@ def _results(params, way: str) -> list:
 
 
 def digest(point_set: list, way: str) -> tuple:
-    """(full SHA-256 hex, values SHA-256 hex, unflagged SHA-256 hex,
-    evaluations, warnings, flagged evaluations) of one set, evaluated one way."""
-    full, values, unflagged = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    """(full, values, raw and unflagged SHA-256 hex, evaluations, warnings,
+    flagged evaluations, sorted (label, warnings) pairs) of one set, evaluated
+    one way."""
+    full, values, raws, unflagged = (hashlib.sha256() for _ in range(4))
     evaluations = n_warnings = flagged = 0
+    labels = collections.Counter()
     for params in point_set:
         for raw, breakdown, messages in _results(replace(params), way):
             full.update(f"{raw}\n{breakdown}\n".encode())
             values.update(f"{raw}\n".encode())
+            raws.update(f"{raw}\n".encode())
             for message in messages:
                 full.update(f"! {message}\n".encode())
                 values.update(f"! {message}\n".encode())
+                labels[message.split(":", 1)[0]] += 1
             if not messages:
                 unflagged.update(f"{raw}\n".encode())
             evaluations += 1
             n_warnings += len(messages)
             flagged += bool(messages)
-    return (full.hexdigest(), values.hexdigest(), unflagged.hexdigest(), evaluations,
-            n_warnings, flagged)
+    return (full.hexdigest(), values.hexdigest(), raws.hexdigest(), unflagged.hexdigest(),
+            evaluations, n_warnings, flagged, tuple(sorted(labels.items())))
 
 
 def main() -> int:
     agree = True
     for prefix, point_set in (("", points()), ("mixed ", mixed_points())):
         rows = {way: digest(point_set, way) for way in ("forward", "reversed", "fresh")}
-        for way, (full, values, unflagged, evaluations, n_warnings, flagged) in rows.items():
-            print(f"{prefix}{way:9s} sha256={full} values={values} unflagged={unflagged} "
-                  f"evaluations={evaluations} warnings={n_warnings} flagged={flagged}")
+        for way, (full, values, raw, unflagged, evaluations, n_warnings, flagged,
+                  _) in rows.items():
+            print(f"{prefix}{way:9s} sha256={full} values={values} raw={raw} "
+                  f"unflagged={unflagged} evaluations={evaluations} warnings={n_warnings} "
+                  f"flagged={flagged}")
+        labels = rows["forward"][-1]
+        print(f"{prefix}warnings by label: "
+              + "; ".join(f"{label}={count}" for label, count in labels))
         agree = agree and len(set(rows.values())) == 1
     print("ways agree" if agree else "WAYS DISAGREE")
     return 0 if agree else 1
