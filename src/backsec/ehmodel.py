@@ -70,8 +70,7 @@ class EhParams:
 def harvested_power(eh: EhParams, p_in: float) -> float:
     """Harvested output for input power p_in (W); sigmoid-saturating model,
     clamped at zero below the sensitivity threshold."""
-    if not p_in >= 0:
-        raise ValueError(f"input power must be non-negative, got {p_in}")
+    p_in = real_field("p_in", p_in, closed=True)
     num = 1.0 - math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi0)
     den = 1.0 + math.exp(-eh.xi1 * p_in + eh.xi1 * eh.xi2)
     return max(eh.p_max * num / den, 0.0)
@@ -81,10 +80,8 @@ def optimal_reflection(eh: EhParams, p_tx: float, link_sk: NakagamiLink,
                        g_sk_sq: float) -> float:
     """Largest reflection coefficient that still powers the circuit:
     max(1 - phi / (P d^-u g^2), 0).  Zero means the tag stays silent."""
-    if not p_tx > 0:
-        raise ValueError(f"p_tx must be positive, got {p_tx}")
-    if not g_sk_sq > 0:
-        raise ValueError(f"g_sk_sq must be positive, got {g_sk_sq}")
+    p_tx = real_field("p_tx", p_tx)
+    g_sk_sq = real_field("g_sk_sq", g_sk_sq)
     received = p_tx * link_sk.path_gain * g_sk_sq
     if received <= eh.phi:
         return 0.0

@@ -1,13 +1,18 @@
 """Special functions and combinatorial machinery behind the closed forms.
 
-Everything here is pure and stateless, so it is safe to call from any number
-of threads.  The incomplete-gamma and Bessel evaluators are self-contained
-(series / continued-fraction implementations); the test suite checks them
-against independent quadrature oracles.
+Every function here is pure.  Two of them keep a bounded, thread-safe memo
+cache (`functools.lru_cache`) for the life of the process: `compositions`
+holds the last 128 (total, parts) pairs and `multinomial_delta` the last 2**14
+terms, so every params object with the same (N, m, lambda_tilde) reuses the
+same composition lists and deltas.  A call that raises is never cached, so a
+bad input raises on every call.  The incomplete-gamma and Bessel evaluators
+are self-contained (series / continued-fraction implementations); the test
+suite checks them against independent quadrature oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -22,6 +27,8 @@ _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAXIT = 500
 _EULER_GAMMA = 0.5772156649015328606
+_COMPOSITIONS_CACHE_SIZE = 128
+_DELTA_CACHE_SIZE = 2 ** 14
 
 
 def _lower_series(m: float, x: float) -> float:
@@ -184,6 +191,7 @@ def bessel_k(order: int, x: float) -> float:
     return k
 
 
+@functools.lru_cache(maxsize=_COMPOSITIONS_CACHE_SIZE, typed=True)
 def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All ordered non-negative integer tuples of length `parts` summing to
     `total`, in ascending lexicographic order (bit-reproducible)."""
@@ -225,7 +233,16 @@ def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
     n_{i+1} lgamma(i) for i = 1..m; the steps that subtract an exact zero
     (lgamma(1) == lgamma(2) == 0.0, or a zero part) are skipped, which leaves
     every other step, and so the result, bit for bit as written.
+
+    `parts` may be any sequence.  Results are cached on the arguments and the
+    type of each, parts one by one, so 2 and 2.0 (or 1 and True) never share
+    an entry; `multinomial_delta.cache_info()` reports the cache.
     """
+    return _delta(n_power, m, lambda_tilde, *parts)
+
+
+@functools.lru_cache(maxsize=_DELTA_CACHE_SIZE, typed=True)
+def _delta(n_power, m, lambda_tilde, *parts):
     if len(parts) != m + 1:
         raise ValueError(f"composition has {len(parts)} parts, expected m+1 = {m + 1}")
     if sum(parts) != n_power or min(parts) < 0:
@@ -249,3 +266,5 @@ def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
     sign = -1.0 if theta1 % 2 else 1.0
     return sign * math.exp(log_mag), theta1, theta2
 
+
+multinomial_delta.cache_info = _delta.cache_info

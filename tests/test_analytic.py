@@ -860,6 +860,18 @@ class TestSharedDerivedTerms:
         _evaluate_all(replace(params))
         assert len(calls) == 2 * built  # an equal fresh object builds its own
 
+    def test_second_object_at_another_gamma_t_adds_no_leaf_cache_miss(self):
+        # composition lists and deltas depend on (N, m, lambda_tilde) alone, so a
+        # second object that differs only in gamma_t rebuilds its tables from
+        # the process-wide caches of compositions and multinomial_delta
+        _evaluate_all(make_params(gamma_t_db=10.0, n_tags=6, m=3))
+        before = compositions.cache_info(), multinomial_delta.cache_info()
+        _evaluate_all(make_params(gamma_t_db=40.0, n_tags=6, m=3))
+        after = compositions.cache_info(), multinomial_delta.cache_info()
+        for old, new in zip(before, after):
+            assert new.misses == old.misses
+            assert new.hits > old.hits
+
     @pytest.mark.parametrize("derive", [
         lambda p: replace(p, gamma_t=DB(60.0), p_tx=p.noise_power * DB(60.0)),
         lambda p: p.with_transmit_snr(DB(60.0)),

@@ -65,9 +65,11 @@ class TestHarvestedPower:
         vals = [harvested_power(EH_DEFAULT, p) for p in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("p_in", [-1e-6, math.nan])
+    # a bool is not read as 1.0 or 0.0, None or a string is no TypeError, and
+    # an infinite input is not saturated to p_max
+    @pytest.mark.parametrize("p_in", [-1e-6, math.nan, True, False, None, "1e-4", math.inf])
     def test_invalid_input_power_rejected(self, p_in):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^p_in must be"):
             harvested_power(EH_DEFAULT, p_in)
 
     def test_frozen_oracle_value(self):
@@ -132,10 +134,15 @@ class TestOptimalReflection:
         else:
             assert received <= EH_DEFAULT.phi
 
-    @pytest.mark.parametrize("p_tx, g_sk_sq, name", [(0.0, 1.0, "p_tx"), (1.0, 0.0, "g_sk_sq")])
-    def test_non_positive_input_rejected(self, p_tx, g_sk_sq, name):
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
-            optimal_reflection(EH_DEFAULT, p_tx, self.LINK, g_sk_sq)
+    @pytest.mark.parametrize("name", ["p_tx", "g_sk_sq"])
+    @pytest.mark.parametrize("bad, reason", [
+        (0.0, "positive"), (math.inf, "positive and finite"),
+        (True, "a finite real number"), (None, "a finite real number"),
+        ("1.0", "a finite real number")])
+    def test_non_positive_input_rejected(self, name, bad, reason):
+        args = {"p_tx": 1.0, "g_sk_sq": 1.0, name: bad}
+        with pytest.raises(ValidationError, match=f"^{name} must be {reason}"):
+            optimal_reflection(EH_DEFAULT, args["p_tx"], self.LINK, args["g_sk_sq"])
 
     def test_monotone_in_gain(self):
         gains = np.linspace(1e-5, 5e-3, 300)

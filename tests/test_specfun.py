@@ -309,3 +309,46 @@ class TestExpansionIdentities:
                         0.0, 200.0, epsabs=1e-13, epsrel=1e-12, limit=400)
                     assert closed == pytest.approx(ref, rel=1e-8)
 
+
+
+class TestLeafCaches:
+    """compositions and multinomial_delta keep bounded process-wide caches;
+    a cached entry must never change what a call returns or raises."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: multinomial_delta(4, (1, 1, 1), 2, 1.0),
+        lambda: multinomial_delta(3, (1, 1, 1), 3, 1.0),
+        lambda: multinomial_delta(3, (1, 1, 1), 2, -1.5),
+        # math.nan is one object, so both calls make the identical key
+        lambda: multinomial_delta(2, (0, 1, 1), 2, math.nan),
+        lambda: compositions(-1, 2),
+        lambda: compositions(3, 0),
+    ], ids=["delta-sum", "delta-length", "delta-lambda", "delta-nan", "comp-total",
+            "comp-parts"])
+    def test_bad_call_raises_every_time(self, call):
+        sizes = compositions.cache_info().currsize, multinomial_delta.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                call()
+        assert (compositions.cache_info().currsize,
+                multinomial_delta.cache_info().currsize) == sizes
+
+    def test_float_integer_argument_still_rejected_after_int_is_cached(self):
+        assert multinomial_delta(2, (0, 1, 1), 2, 1.0)[1:] == (2, 1)
+        with pytest.raises(TypeError):
+            multinomial_delta(2.0, (0, 1, 1), 2, 1.0)
+        assert compositions(2, 3)
+        with pytest.raises(TypeError):
+            compositions(2.0, 3)
+
+    def test_list_parts_give_the_tuple_result(self):
+        expected = multinomial_delta(3, (1, 1, 1), 2, 2.0)
+        got = multinomial_delta(3, [1, 1, 1], 2, 2.0)
+        assert type(got) is tuple and got == expected
+        assert repr(got[0]) == repr(expected[0])
+
+    @pytest.mark.parametrize("fn", [compositions, multinomial_delta],
+                             ids=["compositions", "multinomial_delta"])
+    def test_cache_is_bounded(self, fn):
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf

@@ -42,6 +42,12 @@ one object changes nothing.  A change that keeps the closed forms bit for bit
 leaves every digest and count as they were; one that renames or adds
 breakdown parts but keeps every number and warning moves the full digest and
 keeps the values digest.
+
+The wall time of each set and way goes to stderr, so stdout stays the same
+from run to run and a speed-up is measured by the same run that shows it
+kept every bit.  Ways after the first reuse what the package caches for the
+life of the process (the composition lists and deltas of `backsec.specfun`),
+so the first way of each set pays for filling those caches.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import collections
 import hashlib
 import itertools
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -167,7 +174,11 @@ def digest(point_set: list, way: str) -> tuple:
 def main() -> int:
     agree = True
     for prefix, point_set in (("", points()), ("mixed ", mixed_points())):
-        rows = {way: digest(point_set, way) for way in ("forward", "reversed", "fresh")}
+        rows = {}
+        for way in ("forward", "reversed", "fresh"):
+            start = time.perf_counter()
+            rows[way] = digest(point_set, way)
+            print(f"{prefix}{way:9s} {time.perf_counter() - start:.2f} s", file=sys.stderr)
         for way, (full, values, raw, unflagged, evaluations, n_warnings, flagged,
                   _) in rows.items():
             print(f"{prefix}{way:9s} sha256={full} values={values} raw={raw} "
