@@ -134,12 +134,19 @@ class TestOptimalReflection:
         else:
             assert received <= EH_DEFAULT.phi
 
+    @pytest.mark.parametrize("p_tx, g_sk_sq, name", [(0.0, 1.0, "p_tx"), (1.0, 0.0, "g_sk_sq")])
+    def test_non_positive_input_rejected(self, p_tx, g_sk_sq, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be positive"):
+            optimal_reflection(EH_DEFAULT, p_tx, self.LINK, g_sk_sq)
+
+    # an infinite input is not read as a large gain, and a bool, None or a
+    # string is no TypeError
     @pytest.mark.parametrize("name", ["p_tx", "g_sk_sq"])
     @pytest.mark.parametrize("bad, reason", [
-        (0.0, "positive"), (math.inf, "positive and finite"),
+        (math.inf, "positive and finite"),
         (True, "a finite real number"), (None, "a finite real number"),
         ("1.0", "a finite real number")])
-    def test_non_positive_input_rejected(self, name, bad, reason):
+    def test_invalid_input_rejected(self, name, bad, reason):
         args = {"p_tx": 1.0, "g_sk_sq": 1.0, name: bad}
         with pytest.raises(ValidationError, match=f"^{name} must be {reason}"):
             optimal_reflection(EH_DEFAULT, args["p_tx"], self.LINK, args["g_sk_sq"])
