@@ -37,7 +37,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import NumericalInstabilityWarning, ValidationError
 from .specfun import (
@@ -92,10 +92,10 @@ class ClosedFormReport:
 
 class _Derived:
     """Scalars of one SystemParams object (see `_derived`) and one store,
-    `memo`, of the pure values all its closed forms share: expansion tables
-    and their labels, one Bessel order table per theta1, W1 tails, W3 moments,
-    the weakest-eavesdropper rows and whole sums with their breakdown terms,
-    never a verdict.  Keys start with the kind of value.  Each value is built
+    `memo`, of the pure values all its closed forms share: expansion tables,
+    destination rows, one Bessel order table per theta1, W1 tails, W3 moments,
+    the weakest-eavesdropper rows and the row terms with their sums, never a
+    verdict.  Keys start with the kind of value.  Each value is built
     on first use, published complete with one setdefault and never changed
     after, so threads racing on one object build and read equal values."""
 
@@ -132,11 +132,6 @@ class _Derived:
         expansion of (F_{g^2})^n_power, in `compositions` order."""
         return self.memo(("expansion", n_power, m, lam), lambda: tuple(
             (c, multinomial_delta(n_power, c, m, lam)) for c in compositions(n_power, m + 1)))
-
-    def term_labels(self, n_power: int, m: int, lam: float) -> tuple:
-        """The breakdown label f"comp{parts}" of each term of `expansion`."""
-        return self.memo(("labels", n_power, m, lam), lambda: tuple(
-            f"comp{parts}" for parts, _ in self.expansion(n_power, m, lam)))
 
 
 def _derived(params: SystemParams) -> _Derived:
@@ -176,19 +171,6 @@ def _checked(total: tuple, label: str) -> float:
             stacklevel=3,
         )
     return value
-
-
-def _checked_sum(d: _Derived, key: tuple, label: str, pairs: Callable[[], Iterable],
-                 breakdown: dict) -> float:
-    """The `_sum` of the (label, term) pairs that pairs() yields, built once
-    per key; every use copies the pairs into breakdown and checks the sum."""
-    def build():
-        built = tuple(pairs())
-        return _sum([term for _, term in built]), built
-
-    total, built = d.memo(key, build)
-    breakdown.update(built)
-    return _checked(total, label)
 
 
 def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
@@ -290,14 +272,6 @@ def _w3_min_rows(d: _Derived) -> tuple:
     return d.memo(("min_rows",), build)
 
 
-def _w3_moments(d: _Derived, rate_shift: float, minimum_stat: bool) -> Sequence[float]:
-    """W3 moments q = 0..md-1; against the weakest of n if minimum_stat."""
-    if minimum_stat:
-        return _w3_min_moments(d, rate_shift)
-    return d.memo(("moments", rate_shift), lambda: tuple(
-        _w3_moment(d, q, rate_shift) for q in range(d.md)))
-
-
 def p1(params: SystemParams) -> float:
     """Probability the selected tag cannot power its circuit,
     P(g_s^2 < phi / (P d_s^-u_s))."""
@@ -305,35 +279,31 @@ def p1(params: SystemParams) -> float:
     return reg_lower_inc_gamma(d.ms, d.lam_s * d.a)
 
 
-def _poisson_weights(d: _Derived) -> tuple:
-    """lam_d^j / j!, j = 0..md-1, with j! a running float product: the weights
-    of the single-destination CDF."""
-    return d.memo(("poisson",), lambda: tuple(d.lam_d ** j / f for j, f in enumerate(
-        itertools.accumulate(range(1, d.md), operator.mul, initial=1.0))))
+def _rows(d: _Derived, protocol: ProtocolKind) -> tuple:
+    """The rule's destination law as (label, coef, theta1, theta2) rows of
+    sum coef x^theta2 exp(-lam_d theta1 x): for SOTS the CDF of the best of n
+    destination gains, one row per composition; for the other rules the
+    survival function of one gain, coef = lam_d^j / j! with j! a running
+    float product."""
+    if protocol is ProtocolKind.SOTS:
+        return d.memo(("rows", "best"), lambda: tuple(
+            (f"comp{parts}", value, t1, t2)
+            for parts, (value, t1, t2) in d.expansion(d.n, d.md, d.lam_d)))
+    return d.memo(("rows", "one"), lambda: tuple(
+        (f"j={j}", d.lam_d ** j / f, 1, j) for j, f in enumerate(
+            itertools.accumulate(range(1, d.md), operator.mul, initial=1.0))))
 
 
-def _cmp_max(d: _Derived, x: float, breakdown: dict) -> float:
-    """P(max of n destination gains < x * W3), one term per composition."""
-    def pairs():
-        w3 = {}
-        labels = d.term_labels(d.n, d.md, d.lam_d)
-        for label, (_, (value, t1, t2)) in zip(labels, d.expansion(d.n, d.md, d.lam_d)):
-            if (t1, t2) not in w3:
-                w3[t1, t2] = (x ** t2, _w3_moment(d, t2, d.lam_d * t1 * x))
-            x_pow, moment = w3[t1, t2]
-            yield label, value * x_pow * moment
-
-    return _checked_sum(d, ("max", x), "best-destination comparison", pairs, breakdown)
-
-
-def _cmp_single(d: _Derived, x: float, breakdown: dict, minimum_stat: bool) -> float:
-    """P(single destination gain < x * W3); W3 is the weakest of n if minimum_stat."""
-    moments = _w3_moments(d, d.lam_d * x, minimum_stat)
-    total = 0.0
-    for j, weight in enumerate(_poisson_weights(d)):
-        term = breakdown[f"j={j}"] = weight * x ** j * moments[j]
-        total += term
-    return _checked(_sum((1.0, -total)), "comparison complement")
+def _w3(d: _Derived, protocol: ProtocolKind, t1: int, x: float) -> Sequence[float]:
+    """The rule's eavesdropper law: W3 moments q = 0, 1, ... at rate shift
+    lam_d t1 x, against the weakest of n eavesdropper gains for METS (whose
+    rows have t1 = 1; every call checks them), else against one gain, up to
+    q = (md - 1) t1, the largest theta2 of that theta1."""
+    rate_shift = d.lam_d * t1 * x
+    if protocol is ProtocolKind.METS:
+        return _w3_min_moments(d, rate_shift)
+    return d.memo(("moments", t1, x), lambda: tuple(
+        _w3_moment(d, q, rate_shift) for q in range((d.md - 1) * t1 + 1)))
 
 
 def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> float:
@@ -346,53 +316,62 @@ def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> f
     return inner
 
 
-def _sots_p2(d: _Derived, breakdown: dict) -> float:
-    """One term per composition; its inner q-sum depends on the composition
-    only through (theta1, theta2), so each such sum is evaluated once."""
-    def pairs():
-        inners, w3 = {}, {}
-        labels = d.term_labels(d.n, d.md, d.lam_d)
-        for label, (_, (value, t1, t2)) in zip(labels, d.expansion(d.n, d.md, d.lam_d)):
-            if (t1, t2) not in inners:
-                moments = w3.setdefault(t1, [])
-                for q in range(len(moments), t2 + 1):
-                    moments.append(_w3_moment(d, q, d.lam_d * t1 * d.cap_b))
-                inners[t1, t2] = _tail_inner(d, t1, t2, moments)
-            yield "p2." + label, value * inners[t1, t2]
+def _terms(d: _Derived, protocol: ProtocolKind, x: float, tail: bool) -> tuple:
+    """((label, term) pairs, total) over the rule's destination rows, with
+    term = coef * f1 * f2 and (f1, f2) built once per (theta1, theta2).  For
+    the comparison P(W2 < x W3) they are x^theta2 and the W3 moment q = theta2
+    at rate shift lam_d theta1 x; for the outage tail (x = B) they are 1.0,
+    which leaves coef exact, and the W1-tail q-sum `_tail_inner`, and the
+    labels take the prefix p2. (SOTS) or tail.  total is the `_sum` of the
+    terms, except for the one-tag comparison, where it is the `_sum` (1, -s)
+    that gives P(W2 < x W3) from their survival sum s.  Built once per pair
+    of laws, x and tail, so OTS and RTS share it."""
+    best, mets = protocol is ProtocolKind.SOTS, protocol is ProtocolKind.METS
+    # every fetch of the weakest-of-n moments checks them, so every use
+    # fetches them, memo hit or not
+    w3 = {1: _w3(d, protocol, 1, x)} if mets else {}
 
-    return _checked_sum(d, ("sots_p2",), "best-destination outage tail", pairs, breakdown)
+    def build():
+        prefix = ("p2." if best else "tail.") if tail else ""
+        factors, pairs = {}, []
+        for label, coef, t1, t2 in _rows(d, protocol):
+            if (t1, t2) not in factors:
+                if t1 not in w3:
+                    w3[t1] = _w3(d, protocol, t1, x)
+                factors[t1, t2] = ((1.0, _tail_inner(d, t1, t2, w3[t1])) if tail
+                                   else (x ** t2, w3[t1][t2]))
+            f1, f2 = factors[t1, t2]
+            pairs.append((prefix + label, coef * f1 * f2))
+        if best or tail:
+            return tuple(pairs), _sum([term for _, term in pairs])
+        # s is added left to right, not with fsum: the pinned values carry its
+        # rounding
+        survival = 0.0
+        for _, term in pairs:
+            survival += term
+        return tuple(pairs), _sum((1.0, -survival))
 
-
-def _single_tail(d: _Derived, breakdown: dict, minimum_stat: bool) -> float:
-    """P(g_s^2 > a, ratio >= tau) for one tag (minimum_stat=False) or with the
-    eavesdropper gain replaced by the weakest of n (minimum_stat=True)."""
-    # the W3 moment depends on q alone: evaluate it once per q, not per (j, q)
-    w3 = _w3_moments(d, d.lam_d * d.cap_b, minimum_stat)
-
-    def pairs():
-        for j, weight in enumerate(_poisson_weights(d)):
-            yield f"tail.j={j}", weight * _tail_inner(d, 1, j, w3)
-
-    return _checked_sum(d, ("tail", minimum_stat), "survival tail", pairs, breakdown)
+    return d.memo(("terms", best, mets, x, tail), build)
 
 
 def _single(d: _Derived, protocol: ProtocolKind, kind: str, breakdown: dict) -> float:
     """The SOP or IP of the one tag the rule selects, or for OTS of any one tag
-    (OTS fails only when every tag does).  SOTS reads the best of n destination
-    gains, METS the weakest of n eavesdropper gains, OTS and RTS one tag."""
+    (OTS fails only when every tag does).  The SOTS rows are a CDF, so the
+    sums of their terms are probabilities; the one-tag rows are a survival
+    function, so the probabilities are complements."""
+    best = protocol is ProtocolKind.SOTS
+    pairs, total = _terms(d, protocol, d.c if kind.endswith("ip") else d.cap_b,
+                          kind == "exact_sop")
+    breakdown.update(pairs)
     if kind == "exact_sop":
-        if protocol is ProtocolKind.SOTS:
-            p2 = breakdown["p2"] = _sots_p2(d, breakdown)
+        if best:
+            p2 = breakdown["p2"] = _checked(total, "best-destination outage tail")
             return breakdown["p1"] + p2
-        tail = _single_tail(d, breakdown, protocol is ProtocolKind.METS)
+        tail = _checked(total, "survival tail")
         single = _checked(_sum((1.0, -tail)), "outage complement")
         breakdown["p2"] = single - breakdown["p1"]
         return single
-    x = d.cap_b if kind == "asymptotic_sop" else d.c
-    if protocol is ProtocolKind.SOTS:
-        cmp_val = _cmp_max(d, x, breakdown)
-    else:
-        cmp_val = _cmp_single(d, x, breakdown, protocol is ProtocolKind.METS)
+    cmp_val = _checked(total, "best-destination comparison" if best else "comparison complement")
     if kind.startswith("asymptotic"):
         return cmp_val
     p3 = breakdown["p3"] = reg_upper_inc_gamma(d.ms, d.lam_s * d.a) * cmp_val

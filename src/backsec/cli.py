@@ -8,6 +8,7 @@ numerical-instability flag (output is still written in full).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -74,8 +75,11 @@ def _load_spec(args) -> SweepSpec:
 
 def _write(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -102,6 +106,9 @@ def _run_flagged(compute, emit) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        # fail before the sweep runs, not after
+        raise ValidationError(f"cannot write --out {args.out}: no such directory")
     return _run_flagged(lambda: run_sweep(spec), lambda csv_doc: _write(csv_doc, args.out))
 
 

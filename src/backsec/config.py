@@ -221,9 +221,17 @@ def loads_config(text: str) -> SweepSpec:
 
 
 def load_config(path) -> SweepSpec:
-    """Parse and validate a config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+    """Parse and validate a config file; a file that cannot be read as UTF-8
+    text is a ValidationError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return loads_config(text)
 
 
 def _map_links(base: SystemParams, families: str, change) -> SystemParams:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 __all__ = [
     "bessel_k",
@@ -208,14 +209,6 @@ def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(level[total])
 
 
-def _lgamma_table(size: int) -> tuple:
-    """math.lgamma(k) at index k for k = 1..size-1 (index 0, a pole, is unused)."""
-    return (math.inf,) + tuple(math.lgamma(k) for k in range(1, size))
-
-
-_LGAMMA = _lgamma_table(257)
-
-
 def multinomial_delta(n_power: int, parts: tuple[int, ...], m: int,
                       lambda_tilde: float) -> tuple[float, int, int]:
     """(delta, theta1, theta2) of one term in the multinomial expansion of the
@@ -250,19 +243,18 @@ def _delta(n_power, m, lambda_tilde, *parts):
                          f"summing to {n_power}")
     if not lambda_tilde > 0.0:
         raise ValueError(f"lambda_tilde must be positive, got {lambda_tilde}")
+    operator.index(n_power)  # a power given as a float is a TypeError
     theta1 = n_power - parts[0]
     theta2 = 0
     for i in range(2, m + 1):
         theta2 += (i - 1) * parts[i]
-    size = max(n_power + 2, m + 1)
-    lg = _LGAMMA if size <= len(_LGAMMA) else _lgamma_table(size)
-    log_mag = theta2 * math.log(lambda_tilde) + lg[n_power + 1]
+    log_mag = theta2 * math.log(lambda_tilde) + math.lgamma(n_power + 1)
     for ni in parts:
         if ni > 1:
-            log_mag -= lg[ni + 1]
+            log_mag -= math.lgamma(ni + 1)
     for i in range(3, m + 1):
         if parts[i]:
-            log_mag -= parts[i] * lg[i]
+            log_mag -= parts[i] * math.lgamma(i)
     sign = -1.0 if theta1 % 2 else 1.0
     return sign * math.exp(log_mag), theta1, theta2
 

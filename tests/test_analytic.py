@@ -730,6 +730,29 @@ class TestBitIdentity:
         assert digest.hexdigest() == ("2c427f0c79388df6e70ce15d9e6008465c233d0511754619"
                                       "217fc0b3378330db")
 
+    def test_breakdowns_and_warnings_frozen(self):
+        # the pins above hold raw values and flag counts; pin every breakdown
+        # term and every instability message too, in order, at the preset
+        # points and at two cells whose sums cancel
+        points = [make_params(**METS_FLAGGED), make_params(n_tags=8, m=4)]
+        for name in preset_names():
+            spec = loads_config(preset_text(name))
+            points += [apply_axis(spec.base, spec.axis, v) for v in spec.axis_values]
+        digest, n_messages = hashlib.sha256(), 0
+        for params in points:
+            for form, proto in ORDER:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", NumericalInstabilityWarning)
+                    report = getattr(analytic, form)(proto, params)
+                digest.update(f"{dict(report.term_breakdown)!r}\n".encode())
+                for w in caught:
+                    if issubclass(w.category, NumericalInstabilityWarning):
+                        digest.update(f"! {w.message}\n".encode())
+                        n_messages += 1
+        assert n_messages > 0
+        assert digest.hexdigest() == ("ea64829b30cdd2bdb884d14bd7a8f372712e579694c3bc1a"
+                                      "b879d394ebfcef6e")
+
     @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(FROZEN_MIXED))
     def test_mixed_shape_raw_values_frozen(self, n, m_s, m_d, m_e):
         reports = _evaluate_all(make_params(n_tags=n, m_s=m_s, m_d=m_d, m_e=m_e))

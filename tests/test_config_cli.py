@@ -530,6 +530,28 @@ class TestCliCommands:
         assert err.startswith("config error: exact_sop (sots)") and "1.798e+308" in err
         assert not out.exists()  # nothing is written unless every point succeeded
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.cfg"
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and str(path) in err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err and "UTF-8" in err
+
+    def test_sweep_out_in_missing_directory_exits_2_before_the_sweep(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "nonexistent" / "x.csv"
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("the sweep ran"))
+        assert cli.main(["sweep", "--preset", "fig2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write --out") and str(out) in err
+        assert not out.parent.exists()
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(point=oracle_points())
     def test_any_point_exits_0_2_or_3(self, point):
