@@ -30,6 +30,7 @@ the reporting layer only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -168,7 +169,7 @@ def _checked(total: tuple, label: str) -> float:
             f"{label}: cancellation ratio {condition:.3g} exceeds {CANCELLATION_THRESHOLD:.3g}; "
             "the returned value may be unreliable",
             NumericalInstabilityWarning,
-            stacklevel=3,
+            stacklevel=5,  # past _single and _report: the caller of the closed form
         )
     return value
 
@@ -226,9 +227,9 @@ def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
                     - (d.me + q) * math.log(d.lam_e + rate_shift))
 
 
-def _w3_min_moments(d: _Derived, rate_shift: float) -> list:
-    """The moments q = 0..md-1 against the minimum-order-statistic density
-    of the eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
+def _w3_min_moments(d: _Derived, rate_shift: float) -> tuple:
+    """The `_sum`s of the moments q = 0..md-1 against the minimum-order-statistic
+    density of the eavesdropper gains: int w^q exp(-rate_shift w) f_min(w) dw.
 
     Termwise, d/dt [t^t4 e^{-lam t3 t}] = (t4 t^(t4-1) - lam t3 t^t4) e^{...},
     so each expansion term contributes
@@ -250,8 +251,7 @@ def _w3_min_moments(d: _Derived, rate_shift: float) -> list:
         return tuple(_sum(list(map(operator.mul, coefs, map(factor.__getitem__, pairs))))
                      for factor in factors)
 
-    return [_checked(total, "weakest-eavesdropper moment")
-            for total in d.memo(("min_moments", rate_shift), build)]
+    return d.memo(("min_moments", rate_shift), build)
 
 
 def _w3_min_rows(d: _Derived) -> tuple:
@@ -297,11 +297,11 @@ def _rows(d: _Derived, protocol: ProtocolKind) -> tuple:
 def _w3(d: _Derived, protocol: ProtocolKind, t1: int, x: float) -> Sequence[float]:
     """The rule's eavesdropper law: W3 moments q = 0, 1, ... at rate shift
     lam_d t1 x, against the weakest of n eavesdropper gains for METS (whose
-    rows have t1 = 1; every call checks them), else against one gain, up to
-    q = (md - 1) t1, the largest theta2 of that theta1."""
+    rows have t1 = 1), else against one gain, up to q = (md - 1) t1, the
+    largest theta2 of that theta1."""
     rate_shift = d.lam_d * t1 * x
     if protocol is ProtocolKind.METS:
-        return _w3_min_moments(d, rate_shift)
+        return [value for value, _ in _w3_min_moments(d, rate_shift)]
     return d.memo(("moments", t1, x), lambda: tuple(
         _w3_moment(d, q, rate_shift) for q in range((d.md - 1) * t1 + 1)))
 
@@ -317,23 +317,20 @@ def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> f
 
 
 def _terms(d: _Derived, protocol: ProtocolKind, x: float, tail: bool) -> tuple:
-    """((label, term) pairs, total) over the rule's destination rows, with
-    term = coef * f1 * f2 and (f1, f2) built once per (theta1, theta2).  For
-    the comparison P(W2 < x W3) they are x^theta2 and the W3 moment q = theta2
-    at rate shift lam_d theta1 x; for the outage tail (x = B) they are 1.0,
-    which leaves coef exact, and the W1-tail q-sum `_tail_inner`, and the
-    labels take the prefix p2. (SOTS) or tail.  total is the `_sum` of the
-    terms, except for the one-tag comparison, where it is the `_sum` (1, -s)
-    that gives P(W2 < x W3) from their survival sum s.  Built once per pair
-    of laws, x and tail, so OTS and RTS share it."""
+    """((label, term) pairs, total, moments) over the rule's destination rows,
+    with term = coef * f1 * f2 and (f1, f2) built once per (theta1, theta2).
+    For the comparison P(W2 < x W3) they are x^theta2 and the W3 moment
+    q = theta2 at rate shift lam_d theta1 x; for the outage tail (x = B) they
+    are 1.0, which leaves coef exact, and the W1-tail q-sum `_tail_inner`, and
+    the labels take the prefix p2. (SOTS) or tail.  total is the `_sum` of the
+    rule's probability: of the terms (SOTS rows are a CDF), else (1, -s), s the
+    sum of the survival terms; moments holds the `_sum`s of the METS moments
+    they read, else ().  Built once per laws, x and tail: OTS and RTS share it."""
     best, mets = protocol is ProtocolKind.SOTS, protocol is ProtocolKind.METS
-    # every fetch of the weakest-of-n moments checks them, so every use
-    # fetches them, memo hit or not
-    w3 = {1: _w3(d, protocol, 1, x)} if mets else {}
 
     def build():
         prefix = ("p2." if best else "tail.") if tail else ""
-        factors, pairs = {}, []
+        factors, pairs, w3 = {}, [], {}
         for label, coef, t1, t2 in _rows(d, protocol):
             if (t1, t2) not in factors:
                 if t1 not in w3:
@@ -342,39 +339,41 @@ def _terms(d: _Derived, protocol: ProtocolKind, x: float, tail: bool) -> tuple:
                                    else (x ** t2, w3[t1][t2]))
             f1, f2 = factors[t1, t2]
             pairs.append((prefix + label, coef * f1 * f2))
-        if best or tail:
-            return tuple(pairs), _sum([term for _, term in pairs])
-        # s is added left to right, not with fsum: the pinned values carry its
-        # rounding
-        survival = 0.0
-        for _, term in pairs:
-            survival += term
-        return tuple(pairs), _sum((1.0, -survival))
+        moments = _w3_min_moments(d, d.lam_d * x) if mets else ()  # theta1 = 1
+        terms = [term for _, term in pairs]
+        if best:
+            return tuple(pairs), _sum(terms), moments
+        # the comparison's s is added left to right, not with fsum: the pinned
+        # values carry its rounding
+        survival = _sum(terms)[0] if tail else functools.reduce(operator.add, terms, 0.0)
+        return tuple(pairs), _sum((1.0, -survival)), moments
 
     return d.memo(("terms", best, mets, x, tail), build)
 
 
+# (SOTS, exact SOP) -> the label of the probability sum of `_terms`
+_LABELS = {(True, True): "best-destination outage tail",
+           (True, False): "best-destination comparison",
+           (False, True): "outage complement", (False, False): "comparison complement"}
+
+
 def _single(d: _Derived, protocol: ProtocolKind, kind: str, breakdown: dict) -> float:
     """The SOP or IP of the one tag the rule selects, or for OTS of any one tag
-    (OTS fails only when every tag does).  The SOTS rows are a CDF, so the
-    sums of their terms are probabilities; the one-tag rows are a survival
-    function, so the probabilities are complements."""
-    best = protocol is ProtocolKind.SOTS
-    pairs, total = _terms(d, protocol, d.c if kind.endswith("ip") else d.cap_b,
-                          kind == "exact_sop")
+    (OTS fails only when every tag does).  Every sum the value reads is checked
+    here, on every evaluation, memo hit or not: the weakest-eavesdropper
+    moments first, then the rule's probability sum."""
+    best, sop = protocol is ProtocolKind.SOTS, kind == "exact_sop"
+    pairs, total, moments = _terms(d, protocol, d.c if kind.endswith("ip") else d.cap_b, sop)
+    for moment in moments:
+        _checked(moment, "weakest-eavesdropper moment")
     breakdown.update(pairs)
-    if kind == "exact_sop":
-        if best:
-            p2 = breakdown["p2"] = _checked(total, "best-destination outage tail")
-            return breakdown["p1"] + p2
-        tail = _checked(total, "survival tail")
-        single = _checked(_sum((1.0, -tail)), "outage complement")
-        breakdown["p2"] = single - breakdown["p1"]
-        return single
-    cmp_val = _checked(total, "best-destination comparison" if best else "comparison complement")
+    value = _checked(total, _LABELS[best, sop])
+    if sop:  # the SOTS sum is p2, the one-tag complement the tag's SOP
+        breakdown["p2"] = value if best else value - breakdown["p1"]
+        return breakdown["p1"] + value if best else value
     if kind.startswith("asymptotic"):
-        return cmp_val
-    p3 = breakdown["p3"] = reg_upper_inc_gamma(d.ms, d.lam_s * d.a) * cmp_val
+        return value
+    p3 = breakdown["p3"] = reg_upper_inc_gamma(d.ms, d.lam_s * d.a) * value
     return breakdown["p1"] + p3
 
 

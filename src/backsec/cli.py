@@ -59,12 +59,10 @@ def _load_spec(args) -> SweepSpec:
             raise ValidationError(f"oracle point entries must look like key=value, got {bad}")
         spec = loads_config("\n".join(" = ".join(part.strip() for part in tok.split("=", 1))
                                       for tok in args.point))
-    elif getattr(args, "preset", None):
+    elif args.preset:
         spec = loads_config(preset_text(args.preset))
-    elif args.config:
-        spec = load_config(args.config)
     else:
-        raise ValidationError("provide --config PATH or --preset NAME")
+        spec = load_config(args.config)
     mc = spec.mc
     if getattr(args, "seed", None) is not None:
         mc = replace(mc, seed=args.seed)
@@ -152,16 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep and emit CSV")
-    sweep.add_argument("--config", help="path to a config file")
-    sweep.add_argument("--preset", choices=preset_names(), help="bundled sweep preset")
+    validate = sub.add_parser("validate", help="parse a config and echo resolved values")
+    for command in (sweep, validate):  # giving both or neither is a usage error
+        source = command.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a config file")
+        source.add_argument("--preset", choices=preset_names(), help="bundled sweep preset")
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
     sweep.add_argument("--seed", type=int, help="override the Monte Carlo seed")
     sweep.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
     sweep.set_defaults(func=_cmd_sweep)
-
-    validate = sub.add_parser("validate", help="parse a config and echo resolved values")
-    validate.add_argument("--config", help="path to a config file")
-    validate.add_argument("--preset", choices=preset_names(), help="bundled sweep preset")
     validate.set_defaults(func=_cmd_validate)
 
     oracle = sub.add_parser(
@@ -176,7 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), already printed
+        return exc.code
     try:
         return args.func(args)
     except (ConfigParseError, ValidationError) as exc:

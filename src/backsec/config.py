@@ -142,8 +142,10 @@ class SweepSpec:
         """Emit the resolved configuration (all linear units); reloading the
         result reproduces this spec exactly."""
         self.base.require_homogeneous()
+        links = {fam: getattr(self.base, "link_" + fam) for fam in "sde"}
         owners = {"spec": self, "base": self.base, "eh": self.base.eh, "mc": self.mc,
-                  **{fam: self.base.links_of(fam)[0] for fam in "sde"}}
+                  **{fam: link if isinstance(link, NakagamiLink) else link[0]
+                     for fam, link in links.items()}}
         lines = ["# resolved configuration (linear units)"]
         lines += [f"{key} = {_show(getattr(owners[owner], field))}"
                   for key, (_, _, owner, field) in _KEYS.items()]

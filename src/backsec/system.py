@@ -74,7 +74,10 @@ class SystemParams:
         if not isinstance(self.eh, EhParams):
             raise ValidationError(f"eh must be EhParams, got {self.eh!r}")
         phi = self.eh.phi
-        for k, link in enumerate(self.links_of("s")):
+        # a shared link once, not once per tag: n_tags may be far too large to
+        # build a tuple of
+        links_s = self.link_s if isinstance(self.link_s, tuple) else (self.link_s,)
+        for k, link in enumerate(links_s):
             received = self.p_tx * link.path_gain
             if not received > 0 or not phi / received <= sys.float_info.max:
                 raise ValidationError(

@@ -430,6 +430,31 @@ class TestSotsComparisonOracle:
         assert error <= 1e-9, error
 
 
+class TestMetsInterceptAsymptoteAtMe1:
+    """At m_e = 1 the weakest of N exponential eavesdropper gains is
+    exponential with rate N lam_e, so the METS IP asymptote P(W2 < c W3) is
+    exactly r^m_d, r = lam_d c / (N lam_e + lam_d c), taken in rationals from
+    the engine's float inputs."""
+
+    @pytest.mark.parametrize("n, m_d", [
+        (2, 1), (2, 2), (3, 1),
+        *(pytest.param(n, m_d, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5"))
+          for n, m_d in ((7, 6), (8, 4), (8, 6))),
+    ])
+    def test_flagged_or_exact_to_1e12(self, n, m_d):
+        p = make_params(n_tags=n, m_s=2, m_d=m_d, m_e=1)
+        d = analytic._derived(p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = analytic.ip_asymptotic(ProtocolKind.METS, p)
+        if any(issubclass(w.category, NumericalInstabilityWarning) for w in caught):
+            return
+        rate = Fraction(d.lam_d) * Fraction(d.c)
+        exact = (rate / (n * Fraction(d.lam_e) + rate)) ** m_d
+        error = float(abs(Fraction(rep.raw_value) - exact) / exact)
+        assert error <= 1e-12, error
+
+
 class TestIntercept:
     def test_distant_eavesdropper_reduces_to_p1(self):
         p = make_params(gamma_t_db=10.0, d_e=5000.0)
@@ -549,6 +574,16 @@ class TestReportMechanics:
             warnings.simplefilter("always")
             analytic.sop_exact(ProtocolKind.SOTS, p)
         assert any(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
+
+    @pytest.mark.parametrize("form", ["sop_exact", "sop_asymptotic", "ip_exact", "ip_asymptotic"])
+    def test_instability_warning_names_the_caller(self, form, monkeypatch):
+        # every sum has a condition of at least 1, so each check warns, and
+        # each warning points at the line that called the closed form
+        monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", 0.5)
+        for proto in ALL:
+            with pytest.warns(NumericalInstabilityWarning) as record:
+                getattr(analytic, form)(proto, make_params(n_tags=4, m=3))
+            assert [w.filename for w in record] == [__file__] * len(record), proto
 
     @pytest.mark.parametrize("form, label, raw", [
         ("ip_exact", "comparison complement", "7.453198439577404e-13"),
@@ -793,13 +828,20 @@ METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
 ORDER = [(form, proto) for form in FORMS for proto in ProtocolKind]
 
 
-def _observed(form, proto, params):
-    """(raw_value repr, term_breakdown, instability warning count) of one form."""
+def _seen(form, proto, params):
+    """(raw_value repr, term_breakdown, instability messages in order) of one form."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = getattr(analytic, form)(proto, params)
-    flags = sum(issubclass(w.category, NumericalInstabilityWarning) for w in caught)
-    return repr(report.raw_value), dict(report.term_breakdown), flags
+    messages = tuple(str(w.message) for w in caught
+                     if issubclass(w.category, NumericalInstabilityWarning))
+    return repr(report.raw_value), dict(report.term_breakdown), messages
+
+
+def _observed(form, proto, params):
+    """`_seen` with the instability messages counted."""
+    raw, terms, messages = _seen(form, proto, params)
+    return raw, terms, len(messages)
 
 
 class TestSharedDerivedTerms:
@@ -811,15 +853,17 @@ class TestSharedDerivedTerms:
                              ids=["fig2", "n8m4", "n16m3", "mets_flagged"])
     def test_shared_equals_cold_in_any_order(self, kwargs):
         params = make_params(**kwargs)
-        cold = {key: _observed(*key, replace(params)) for key in ORDER}
-        forward = {key: _observed(*key, params) for key in ORDER}
+        cold = {key: _seen(*key, replace(params)) for key in ORDER}
+        forward = {key: _seen(*key, params) for key in ORDER}
         again = replace(params)
-        backward = {key: _observed(*key, again) for key in reversed(ORDER)}
+        backward = {key: _seen(*key, again) for key in reversed(ORDER)}
+        # each evaluation repeats its messages, text and order, hit or miss
         assert forward == cold
         assert backward == cold
         if kwargs is METS_FLAGGED:
-            assert cold["sop_exact", ProtocolKind.METS][2] > 0
-            assert cold["sop_asymptotic", ProtocolKind.METS][2] > 0
+            for form in ("sop_exact", "sop_asymptotic"):
+                messages = cold[form, ProtocolKind.METS][2]
+                assert messages and messages[0].startswith("weakest-eavesdropper moment: ")
 
     @pytest.mark.parametrize("first, second, tight", [
         (("sop_exact", ProtocolKind.SOTS),) * 2 + (1.0,),
@@ -827,8 +871,8 @@ class TestSharedDerivedTerms:
         (("ip_asymptotic", ProtocolKind.METS),) * 2 + (1.0,),
         # one best-destination comparison sum serves both SOTS IP forms
         (("ip_exact", ProtocolKind.SOTS), ("ip_asymptotic", ProtocolKind.SOTS), 1.0),
-        # one survival-tail sum serves OTS and RTS; its terms are all positive,
-        # so its ratio is 1 to rounding and only a threshold below 1 trips it
+        # one outage complement serves OTS and RTS; its condition is at least
+        # 1, so a threshold of 0.5 trips it
         (("sop_exact", ProtocolKind.OTS), ("sop_exact", ProtocolKind.RTS), 0.5),
     ], ids=["sop_exact-ProtocolKind.SOTS", "sop_exact-ProtocolKind.METS",
             "ip_asymptotic-ProtocolKind.METS", "ip_exact-then-ip_asymptotic-ProtocolKind.SOTS",
@@ -837,13 +881,13 @@ class TestSharedDerivedTerms:
         # the memo keeps values, never verdicts: each use reads the threshold anew
         default = analytic.CANCELLATION_THRESHOLD
         params = make_params(n_tags=4, m=3)
-        assert _observed(*first, params)[2] == 0
+        assert len(_seen(*first, params)[2]) == 0
         monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", tight)
-        assert _observed(*second, params)[2] > 0
+        assert len(_seen(*second, params)[2]) > 0
         monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", default)
-        assert _observed(*second, params)[2] == 0
+        assert len(_seen(*second, params)[2]) == 0
         monkeypatch.setattr(analytic, "CANCELLATION_THRESHOLD", tight)
-        assert _observed(*first, params)[2] > 0
+        assert len(_seen(*first, params)[2]) > 0
 
     def test_probe_premise_every_specfun_name_is_called(self, monkeypatch):
         # perfbench/probes.py times the specfun calls that the 16 forms make

@@ -445,6 +445,19 @@ class TestCliCommands:
     def test_missing_config_argument(self, capsys):
         assert cli.main(["sweep"]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_neither_config_nor_preset_is_a_usage_error(self, command, capsys):
+        assert cli.main([command]) == 2
+        assert "one of the arguments --config --preset is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_config_and_preset_together_are_a_usage_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(MINIMAL)
+        assert cli.main([command, "--config", str(cfg), "--preset", "fig3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "not allowed with argument" in err
+
     def test_sweep_writes_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(MINIMAL + "axis_values = 10, 20\nmethods = exact, mc\n"
@@ -514,6 +527,13 @@ class TestCliCommands:
             argv = ["oracle", "--point", "p_c=100uW", "n_tags=1e300"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: n_tags must be an integer")
+
+    def test_validate_builds_no_tuple_of_n_tags_links(self, tmp_path, capsys):
+        # 8e18 bytes of tuple would not fit in any address space
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text(MINIMAL + "n_tags = 1e18\n")
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        assert "\nn_tags = 1000000000000000000\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("entry", OUT_OF_RANGE_POINTS)
     def test_out_of_range_point_exits_2(self, entry, capsys):
