@@ -104,8 +104,10 @@ def _run_flagged(compute, emit) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
+    # fail before the sweep runs, not after
+    if args.out and os.path.isdir(args.out):
+        raise ValidationError(f"cannot write --out {args.out}: Is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        # fail before the sweep runs, not after
         raise ValidationError(f"cannot write --out {args.out}: no such directory")
     return _run_flagged(lambda: run_sweep(spec), lambda csv_doc: _write(csv_doc, args.out))
 

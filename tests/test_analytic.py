@@ -6,7 +6,6 @@ Carlo estimator (statistical, used broadly here and in the acceptance
 suite).
 """
 
-import hashlib
 import math
 import random
 import sys
@@ -14,6 +13,7 @@ import threading
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -34,6 +34,9 @@ from backsec.specfun import (
 from backsec.system import ProtocolKind, SystemParams
 
 from conftest import DB, make_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import closed_form_digest as pins  # noqa: E402
 
 ALL = tuple(ProtocolKind)
 
@@ -610,120 +613,6 @@ class TestReportMechanics:
 
 FORMS = ("sop_exact", "sop_asymptotic", "ip_exact", "ip_asymptotic")
 
-# raw_value of every closed form, as repr floats, in FORMS x (SOTS, METS, OTS,
-# RTS) order (x86-64 Linux, glibc libm).  The sums must keep every term's
-# arithmetic exactly: grouping compositions by (theta1, theta2), say, moves
-# these by about condition x eps.
-FROZEN_RAW = {
-    (3, 2): {  # the fig2 point
-        "sop_exact": ('0.0048995659904187815', '0.02673127361609473',
-                      '0.0007181325904893544', '0.08955054064128487'),
-        "sop_asymptotic": ('0.004753154234535206', '0.02544214613885798',
-                           '0.0006736860978665297', '0.0876635785373957'),
-        "ip_exact": ('0.00118750189603199', '0.01364330818556331',
-                     '0.00012980002396026708', '0.05063198152652719'),
-        "ip_asymptotic": ('0.001187379491233792', '0.013643187307228244',
-                          '0.00012979912917427435', '0.050631865181166136'),
-    },
-    (8, 4): {
-        "sop_exact": ('1.5388510264215901e-06', '0.001105392599825672',
-                      '1.2387743294898905e-13', '0.02435701281596092'),
-        "sop_asymptotic": ('1.5248188676912756e-06', '0.0010858469293805184',
-                           '1.1842693092098066e-13', '0.02422039989256175'),
-        "ip_exact": ('1.2594492197466278e-08', '0.0003083079934085902',
-                     '2.8491517000634135e-17', '0.008547506636689167'),
-        "ip_asymptotic": ('1.2594489693708728e-08', '0.0003083079934060873',
-                          '2.849151700056798e-17', '0.008547506636686686'),
-    },
-    (16, 3): {
-        "sop_exact": ('2.720876740832509e-07', '0.0012955390144566703',
-                      '3.6187275148151754e-22', '0.04569932050386194'),
-        "sop_asymptotic": ('2.669114662593803e-07', '0.001237840243785815',
-                           '3.1287122106973683e-22', '0.045285623449176526'),
-        "ip_exact": ('1.2242038869716044e-09', '0.0004634163429287925',
-                     '9.031672651708588e-28', '0.020404948912549292'),
-        "ip_asymptotic": ('1.203977461771535e-09', '0.0004634163227117405',
-                          '9.031672511388976e-28', '0.020404948892735586'),
-    },
-    (12, 4): {  # 1820 compositions in 481 (theta1, theta2) groups
-        "sop_exact": ('1.3072465237247785e-07', '0.0006377531602771436',
-                      '4.360018134901944e-20', '0.02435701281596092'),
-        "sop_asymptotic": ('1.2949163104117289e-07', '0.0006243346630796509',
-                           '4.0754513367624755e-20', '0.02422039989256175'),
-        "ip_exact": ('3.481218419337138e-10', '0.00017389366328685572',
-                     '1.5208043991050943e-25', '0.008547506636689167'),
-        "ip_asymptotic": ('3.481193381761326e-10', '0.0001738936632843524',
-                          '1.520804399099798e-25', '0.008547506636686686'),
-    },
-}
-
-
-# The same, with its own fading shape on each link: (N, m_s, m_d, m_e).  The
-# exact SOP's Bessel tables are sized by m_s against (m_d - 1) theta1, which
-# one m on all links never separates.
-FROZEN_MIXED = {
-    (3, 1, 6, 2): {
-        "sop_exact": ('0.0015689448498498314', '0.0020937238468347052',
-                      '1.4892437177406528e-08', '0.0024603029777209295'),
-        "sop_asymptotic": ('8.912763787899442e-08', '3.1603096447563317e-06',
-                           '1.0276051585446332e-11', '0.0002174079521396477'),
-        "ip_exact": ('0.0004950370429633868', '0.0004955015445131396',
-                     '1.527574959337649e-10', '0.000534565397693881'),
-        "ip_asymptotic": ('1.5136684201592052e-09', '4.6624527683114536e-07',
-                          '6.186160935032546e-14', '3.954944603057342e-05'),
-    },
-    (3, 6, 1, 3): {
-        "sop_exact": ('0.13768721566826464', '0.30236001947105384',
-                      '0.09373862014282401', '0.45426176651064387'),
-        "sop_asymptotic": ('0.13723344317947522', '0.3013084884788041',
-                           '0.09323031785140104', '0.4534391922858487'),
-        "ip_exact": ('0.07185661995673864', '0.22655822187595376',
-                     '0.044959293017298264', '0.35558204594879605'),
-        "ip_asymptotic": ('0.07185661995673864', '0.22655822187595376',
-                          '0.044959293017298264', '0.35558204594879605'),
-    },
-    (3, 4, 4, 1): {
-        "sop_exact": ('2.4165113505073485e-06', '2.3742879731281086e-05',
-                      '1.4019146292298321e-09', '0.0011191986799111708'),
-        "sop_asymptotic": ('2.3893847207243775e-06', '2.2947598538824998e-05',
-                           '1.35523317398132e-09', '0.0011066356955080625'),
-        "ip_exact": ('1.4089004945668864e-07', '6.226656757929627e-06',
-                     '4.092141391672855e-11', '0.0003446012726519614'),
-        "ip_asymptotic": ('1.4089004695293144e-07', '6.226656755425886e-06',
-                          '4.0921413915836894e-11', '0.0003446012726494585'),
-    },
-    (7, 1, 6, 2): {
-        "sop_exact": ('0.0013572645288508667', '0.002050510038871356',
-                      '5.456575211226039e-19', '0.0024603029777209295'),
-        "sop_asymptotic": ('5.7401871840084964e-11', '1.270349053728026e-07',
-                           '2.29576788709689e-26', '0.0002174079521396477'),
-        "ip_exact": ('0.0004950355300912851', '0.0004950529018339427',
-                     '1.2474004740978255e-23', '0.000534565397693881'),
-        "ip_asymptotic": ('4.7022152426433986e-14', '1.7380393568799946e-08',
-                          '1.5135014207362949e-31', '3.954944603057342e-05'),
-    },
-    (7, 6, 1, 3): {
-        "sop_exact": ('0.027148099786484227', '0.2196219519444711',
-                      '0.003991565847170488', '0.45426176651064387'),
-        "sop_asymptotic": ('0.027030410637352044', '0.21844571244257271',
-                           '0.003941244563492022', '0.4534391922858487'),
-        "ip_exact": ('0.007724295112106677', '0.16107945530451784',
-                     '0.0007187515117691289', '0.35558204594879605'),
-        "ip_asymptotic": ('0.007724295112106677', '0.16107945530451784',
-                          '0.0007187515117691289', '0.35558204594879605'),
-    },
-    (7, 4, 4, 1): {
-        "sop_exact": ('6.663826083662946e-09', '9.861093046570346e-07',
-                      '2.1996334968084427e-21', '0.0011191986799111708'),
-        "sop_asymptotic": ('6.5886434304419646e-09', '9.097681996639295e-07',
-                           '2.032510147757279e-21', '0.0011066356955080625'),
-        "ip_exact": ('4.953196423014644e-11', '2.358606313092968e-07',
-                     '5.770562366337425e-25', '0.0003446012726519614'),
-        "ip_asymptotic": ('4.952946047256452e-11', '2.3586062880553982e-07',
-                          '5.770562366044039e-25', '0.0003446012726494585'),
-    },
-}
-
 
 def _evaluate_all(params):
     """{(form, protocol): report} for the 16 closed forms; instability warnings
@@ -734,66 +623,89 @@ def _evaluate_all(params):
                 for form in FORMS for proto in ProtocolKind}
 
 
+def _assert_pinned(points, parts):
+    """The given parts of every record at points, a pins.pinned_points()
+    slice, equal the committed file's exactly; a failure names each moved
+    entry with its relative move."""
+    def cut(records):
+        return {key: {part: value for part, value in record.items()
+                      if part in ("point", "form", "rule", *parts)}
+                for key, record in records.items() if key[0] in points}
+
+    pinned, fresh = cut(pins.read_pins()), cut(pins.pin_records(points))
+    assert pins.dumps(fresh) == pins.dumps(pinned), "\n".join(pins.moves(pinned, fresh))
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("n, m", sorted(FROZEN_RAW))
+    """tests/data/closed_forms.jsonl pins the raw value of every closed form
+    at each point of tools/closed_form_digest.py's pinned_points, and the
+    instability messages and breakdown terms at 46 of them.  The tool writes
+    that file; each test here compares its slice of it."""
+
+    # The sums must keep every term's arithmetic exactly: grouping
+    # compositions by (theta1, theta2), say, moves the raw values by about
+    # condition x eps.
+    @pytest.mark.parametrize("n, m", sorted(pins.RAW_CELLS))
     def test_raw_values_frozen(self, n, m):
-        reports = _evaluate_all(make_params(n_tags=n, m=m))
-        for form in FORMS:
-            got = tuple(repr(reports[form, proto].raw_value) for proto in ProtocolKind)
-            assert got == FROZEN_RAW[n, m][form], form
+        kwargs = pins.RAW_CELLS[n, m]
+        params = pins.reference(**kwargs)
+        assert params == make_params(n_tags=n, m=m)
+        _assert_pinned({pins.reference_name(kwargs): (params, False)}, ("raw",))
         # fsum gives the same value in any term order, so pin the term order
         # too: one term per composition, in compositions order
         order = [f"comp{c}" for c in compositions(n, m + 1)]
-        sop_terms = reports["sop_exact", ProtocolKind.SOTS].term_breakdown
-        ip_terms = reports["ip_exact", ProtocolKind.SOTS].term_breakdown
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalInstabilityWarning)
+            sop_terms = analytic.sop_exact(ProtocolKind.SOTS, params).term_breakdown
+            ip_terms = analytic.ip_exact(ProtocolKind.SOTS, params).term_breakdown
         assert [k for k in sop_terms if k.startswith("p2.comp")] == ["p2." + k for k in order]
         assert [k for k in ip_terms if k.startswith("comp")] == order
 
     def test_preset_points_frozen(self):
         # at the reference seed the benchmark's presets_mc workload pins each
         # preset's whole sweep CSV, so a last-bit move at any of the 44 preset
-        # points fails it: pin every raw value and instability flag there
-        digest = hashlib.sha256()
-        for name in preset_names():
-            spec = loads_config(preset_text(name))
-            for value in spec.axis_values:
-                params = apply_axis(spec.base, spec.axis, value)
-                for form, proto in ORDER:
-                    raw, _, flags = _observed(form, proto, params)
-                    digest.update(f"{name} {value!r} {form} {proto.value} {raw} "
-                                  f"{flags > 0}\n".encode())
-        assert digest.hexdigest() == ("2c427f0c79388df6e70ce15d9e6008465c233d0511754619"
-                                      "217fc0b3378330db")
+        # points fails it: pin every raw value and instability message there
+        points = pins.preset_points()
+        built = [apply_axis(spec.base, spec.axis, v)
+                 for spec in map(loads_config, map(preset_text, preset_names()))
+                 for v in spec.axis_values]
+        assert list(points.values()) == built
+        _assert_pinned({name: (params, True) for name, params in points.items()},
+                       ("raw", "messages"))
 
     def test_breakdowns_and_warnings_frozen(self):
-        # the pins above hold raw values and flag counts; pin every breakdown
-        # term and every instability message too, in order, at the preset
-        # points and at two cells whose sums cancel
-        points = [make_params(**METS_FLAGGED), make_params(n_tags=8, m=4)]
-        for name in preset_names():
-            spec = loads_config(preset_text(name))
-            points += [apply_axis(spec.base, spec.axis, v) for v in spec.axis_values]
-        digest, n_messages = hashlib.sha256(), 0
-        for params in points:
-            for form, proto in ORDER:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", NumericalInstabilityWarning)
-                    report = getattr(analytic, form)(proto, params)
-                digest.update(f"{dict(report.term_breakdown)!r}\n".encode())
-                for w in caught:
-                    if issubclass(w.category, NumericalInstabilityWarning):
-                        digest.update(f"! {w.message}\n".encode())
-                        n_messages += 1
-        assert n_messages > 0
-        assert digest.hexdigest() == ("ea64829b30cdd2bdb884d14bd7a8f372712e579694c3bc1a"
-                                      "b879d394ebfcef6e")
+        # the whole report, breakdown terms and instability messages in
+        # order, at the preset points and at two cells whose sums cancel
+        points = {name: point for name, point in pins.pinned_points().items() if point[1]}
+        assert [params for params, _ in points.values()][:2] == [
+            make_params(**METS_FLAGGED), make_params(n_tags=8, m=4)]
+        _assert_pinned(points, ("raw", "messages", "terms"))
 
-    @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(FROZEN_MIXED))
+    @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(pins.MIXED_CELLS))
     def test_mixed_shape_raw_values_frozen(self, n, m_s, m_d, m_e):
-        reports = _evaluate_all(make_params(n_tags=n, m_s=m_s, m_d=m_d, m_e=m_e))
-        for form in FORMS:
-            got = tuple(repr(reports[form, proto].raw_value) for proto in ProtocolKind)
-            assert got == FROZEN_MIXED[n, m_s, m_d, m_e][form], form
+        # each link has its own fading shape: the exact SOP's Bessel tables
+        # are sized by m_s against (m_d - 1) theta1, which one m on all links
+        # never separates
+        kwargs = pins.MIXED_CELLS[n, m_s, m_d, m_e]
+        params = pins.reference(**kwargs)
+        assert params == make_params(n_tags=n, m_s=m_s, m_d=m_d, m_e=m_e)
+        _assert_pinned({pins.reference_name(kwargs): (params, False)}, ("raw",))
+
+    def test_value_file_covers_every_pin(self):
+        records = pins.read_pins()
+        points = pins.pinned_points()
+        assert list(records) == [(name, form, proto.value) for name in points
+                                 for form in FORMS for proto in ProtocolKind]
+        whole = [r for r in records.values() if points[r["point"]][1]]
+        assert len({r["point"] for r in whole}) == 46
+        assert len(whole) == 736
+        assert sum(len(r["terms"]) for r in whole) == 7520
+        assert sum(len(r["messages"]) for r in whole) == 6
+        cells = [pins.reference_name(kw)
+                 for kw in (*pins.RAW_CELLS.values(), *pins.MIXED_CELLS.values())]
+        assert len(set(cells)) == 10
+        for name in cells:
+            assert sum(r["point"] == name and "raw" in r for r in records.values()) == 16
 
     @pytest.mark.parametrize("n, m, lam", [(0, 1, 1.3), (0, 3, 2.0), (1, 1, 0.7),
                                            (5, 1, 2.7), (3, 2, 1.5), (8, 4, 1.995),
@@ -824,7 +736,7 @@ class TestBitIdentity:
 
 # The weakest-eavesdropper moment sums trip the instability flag in both METS
 # SOP forms here, which share one set of those sums on one params object.
-METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
+METS_FLAGGED = pins.METS_FLAGGED
 ORDER = [(form, proto) for form in FORMS for proto in ProtocolKind]
 
 
@@ -836,12 +748,6 @@ def _seen(form, proto, params):
     messages = tuple(str(w.message) for w in caught
                      if issubclass(w.category, NumericalInstabilityWarning))
     return repr(report.raw_value), dict(report.term_breakdown), messages
-
-
-def _observed(form, proto, params):
-    """`_seen` with the instability messages counted."""
-    raw, terms, messages = _seen(form, proto, params)
-    return raw, terms, len(messages)
 
 
 class TestSharedDerivedTerms:

@@ -168,6 +168,13 @@ class TestParsing:
         assert "line 2" in str(err.value)
         assert err.value.line_no == 2
 
+    def test_key_given_twice_takes_its_last_value(self, tmp_path):
+        # perfbench/probes.py and ClosedFormGrid append n_tags, m_* and sweep
+        # keys to fig2's text, which already sets them
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(MINIMAL + "d_e = 4 m\nd_e = 9 m\n")
+        assert load_config(str(cfg)).base.links_of("e")[0].distance == 9.0
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigParseError) as err:
             loads_config("p_c = 100 uW\nbogus = 1\n")
@@ -424,6 +431,17 @@ class TestRunSweep:
         assert len(lines) == 1 + len(spec.protocols)
 
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_whole_preset_equals_its_single_value_runs(self, name):
+        # the benchmark's presets_mc workload sweeps each preset one axis value
+        # at a time and checks the joined rows against whole-sweep references
+        spec = loads_config(preset_text(name))
+        spec = replace(spec, mc=replace(spec.mc, trials=3000))
+        rows = [cli.run_sweep(replace(spec, axis_values=(v,))).split("\n", 1)[1]
+                for v in spec.axis_values]
+        assert cli.run_sweep(spec) == cli.CSV_HEADER + "\n" + "".join(rows)
+
+
 class TestCliCommands:
     def test_validate_ok(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -571,6 +589,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write --out") and str(out) in err
         assert not out.parent.exists()
+
+    def test_sweep_out_naming_a_directory_exits_2_before_the_sweep(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "estimate_all", lambda *a: pytest.fail("the sweep ran"))
+        assert cli.main(["sweep", "--preset", "fig2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write --out {tmp_path}: " \
+                                          "Is a directory\n"
+
+    def test_oracle_point_key_given_twice_takes_its_last_value(self, monkeypatch, capsys):
+        real, seen = cli.estimate_all, []
+        monkeypatch.setattr(cli, "estimate_all",
+                            lambda params, mc: seen.append(params.n_tags) or real(params, mc))
+        assert cli.main(["oracle", "--point", "p_c=100uW", "n_tags=3", "n_tags=5",
+                         "--trials", "1000"]) == 0
+        assert seen == [5]
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(point=oracle_points())

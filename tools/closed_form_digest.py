@@ -1,4 +1,5 @@
-"""Digests of every closed-form result over two fixed sets of evaluations.
+"""Digests of every closed-form result over two fixed sets of evaluations, and
+the committed file of pinned closed-form values.
 
 Run from the repository root:
 
@@ -48,6 +49,26 @@ from run to run and a speed-up is measured by the same run that shows it
 kept every bit.  Ways after the first reuse what the package caches for the
 life of the process (the composition lists and deltas of `backsec.specfun`),
 so the first way of each set pays for filling those caches.
+
+Pinned values.  ``tests/data/closed_forms.jsonl`` holds one JSON line per
+closed form at each pinned point (``pinned_points``), the 16 forms evaluated
+forward on one params object:
+
+- at 46 points, the whole report: ``raw`` (the ``repr`` of ``raw_value``),
+  ``messages`` (every instability message, in order) and ``terms`` (every
+  breakdown label with the ``repr`` of its term, in order).  The points are
+  ``METS_FLAGGED`` and the (8, 4) cell of the reference scenario, whose sums
+  cancel, and the 44 preset points;
+- at the other cells of ``RAW_CELLS`` (N, m) and ``MIXED_CELLS``
+  (N, m_s, m_d, m_e) of the reference scenario, ``raw`` alone.
+
+The ``repr`` strings are those of x86-64 Linux with glibc's libm.
+
+``TestBitIdentity`` in ``tests/test_analytic.py`` compares its slices of the
+file exactly.  After the agreement check, every run prints to stderr each
+pinned entry that differs from the file, with its relative move, and then
+rewrites the file; a run whose ways disagree leaves the file as it is.  So a
+deliberate value move is this stderr list plus the file's git diff.
 """
 
 from __future__ import annotations
@@ -55,20 +76,21 @@ from __future__ import annotations
 import collections
 import hashlib
 import itertools
+import json
 import sys
 import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from backsec import analytic
+from backsec import EhParams, SystemParams, analytic
 from backsec.channel import NakagamiLink
 from backsec.config import apply_axis, loads_config, preset_names, preset_text
 from backsec.errors import NumericalInstabilityWarning
 from backsec.montecarlo import PROTOCOL_ORDER
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import OracleMixed  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+PIN_FILE = ROOT / "tests" / "data" / "closed_forms.jsonl"
 
 FORMS = tuple((fn, proto) for fn in (analytic.sop_exact, analytic.sop_asymptotic,
                                      analytic.ip_exact, analytic.ip_asymptotic)
@@ -79,6 +101,64 @@ CELL_GAMMA_T_DB = (0.0, 30.0, 60.0)
 MIXED_SHAPES = tuple(s for s in itertools.product((1, 3, 6), repeat=3)
                      if len(set(s)) > 1) + ((1, 6, 2), (6, 1, 3), (4, 4, 1))
 
+# Pinned points of the reference scenario, as its keyword arguments.  The
+# weakest-eavesdropper moment sums trip the instability flag in both METS SOP
+# forms at METS_FLAGGED.  RAW_CELLS are (N, m) and MIXED_CELLS (N, m_s, m_d,
+# m_e); a mixed cell separates m_s from (m_d - 1) theta1, which sizes the
+# exact SOP's Bessel tables.
+METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
+RAW_CELLS = {(n, m): dict(n_tags=n, m=m) for n, m in ((3, 2), (8, 4), (16, 3), (12, 4))}
+MIXED_CELLS = {(n, s, d, e): dict(n_tags=n, m_s=s, m_d=d, m_e=e)
+               for n in (3, 7) for s, d, e in ((1, 6, 2), (6, 1, 3), (4, 4, 1))}
+
+
+def _db(x: float) -> float:
+    return 10.0 ** (x / 10.0)
+
+
+def reference(n_tags=3, m=2, m_s=None, m_d=None, m_e=None, d_d=2.0, d_e=4.0,
+              rate=0.5) -> SystemParams:
+    """The reference scenario at gamma_t = 30 dB: noise power fixed by 1 W at
+    30 dB, d_s = 1 m, lambda_tilde 2/3/5 dB, path-loss exponent 2 and the stock
+    harvester with p_c = 100 uW (its constants as plain floats, unlike the
+    presets' uW figures).  Each link's shape is its own m_* or m."""
+    links = {f"link_{fam}": NakagamiLink.from_lambda_tilde(shape or m, _db(lam_db), dist, 2.0)
+             for fam, shape, lam_db, dist in (("s", m_s, 2.0, 1.0), ("d", m_d, 3.0, d_d),
+                                              ("e", m_e, 5.0, d_e))}
+    base = SystemParams(p_tx=1.0, gamma_t=_db(30.0), gamma_p=_db(5.0), zeta=2.2,
+                        n_tags=n_tags, rate_threshold=rate,
+                        eh=EhParams(p_max=200e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4,
+                                    p_c=100e-6),
+                        **links)
+    return base.with_transmit_snr(_db(30.0))
+
+
+def reference_name(kwargs: dict) -> str:
+    return "reference " + " ".join(f"{key}={value!r}" for key, value in kwargs.items())
+
+
+def preset_points() -> dict:
+    """name -> params of the 44 preset points, e.g. 'fig2 gamma_t_db=0.0'."""
+    out = {}
+    for name in preset_names():
+        spec = loads_config(preset_text(name))
+        for value in spec.axis_values:
+            out[f"{name} {spec.axis}={value!r}"] = apply_axis(spec.base, spec.axis, value)
+    return out
+
+
+def pinned_points() -> dict:
+    """name -> (params, whole) of every pinned point, in file order.  whole is
+    True at the 46 points whose reports are pinned whole: METS_FLAGGED, the
+    (8, 4) cell and the preset points.  At the other cells only raw values are
+    pinned."""
+    points = {reference_name(kw): (reference(**kw), True)
+              for kw in (METS_FLAGGED, RAW_CELLS[8, 4])}
+    points.update((name, (params, True)) for name, params in preset_points().items())
+    for kw in (*RAW_CELLS.values(), *MIXED_CELLS.values()):
+        points.setdefault(reference_name(kw), (reference(**kw), False))
+    return points
+
 
 def _with_axes(params, settings):
     for axis, value in settings:
@@ -88,6 +168,9 @@ def _with_axes(params, settings):
 
 def points() -> list:
     """The 1172 parameter points of the main set, in digest order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import OracleMixed
+
     out = []
     for seed in ORACLE_SEEDS:
         workload = OracleMixed(seed)
@@ -95,9 +178,7 @@ def points() -> list:
             out.append(_with_axes(workload.bases[n], (
                 ("m_all", m), ("gamma_t_db", gamma_db), ("d_d", d_d),
                 ("d_e", d_e), ("rate", rate))))
-    for name in preset_names():
-        spec = loads_config(preset_text(name))
-        out += [apply_axis(spec.base, spec.axis, v) for v in spec.axis_values]
+    out += preset_points().values()
     base = loads_config(preset_text("fig2")).base
     for gamma_db in CELL_GAMMA_T_DB:
         for n, m in CELLS:
@@ -129,12 +210,12 @@ def mixed_points() -> list:
 
 
 def _evaluate(fn, proto, params) -> tuple:
+    """(report, instability messages in order) of one closed form."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NumericalInstabilityWarning)
         report = fn(proto, params)
-    messages = tuple(str(w.message) for w in caught
-                     if issubclass(w.category, NumericalInstabilityWarning))
-    return repr(report.raw_value), repr(dict(report.term_breakdown)), messages
+    return report, tuple(str(w.message) for w in caught
+                         if issubclass(w.category, NumericalInstabilityWarning))
 
 
 def _results(params, way: str) -> list:
@@ -154,8 +235,9 @@ def digest(point_set: list, way: str) -> tuple:
     evaluations = n_warnings = flagged = 0
     labels = collections.Counter()
     for params in point_set:
-        for raw, breakdown, messages in _results(replace(params), way):
-            full.update(f"{raw}\n{breakdown}\n".encode())
+        for report, messages in _results(replace(params), way):
+            raw = repr(report.raw_value)
+            full.update(f"{raw}\n{dict(report.term_breakdown)!r}\n".encode())
             values.update(f"{raw}\n".encode())
             raws.update(f"{raw}\n".encode())
             for message in messages:
@@ -169,6 +251,77 @@ def digest(point_set: list, way: str) -> tuple:
             flagged += bool(messages)
     return (full.hexdigest(), values.hexdigest(), raws.hexdigest(), unflagged.hexdigest(),
             evaluations, n_warnings, flagged, tuple(sorted(labels.items())))
+
+
+def pin_records(points: dict) -> dict:
+    """{(point, form, rule): record} of the 16 forms at each point of a
+    pinned_points() mapping, forward on one params object: raw, and for a whole
+    point messages and terms too."""
+    records = {}
+    for name, (params, whole) in points.items():
+        for (fn, proto), (report, messages) in zip(FORMS, _results(params, "forward")):
+            record = {"point": name, "form": fn.__name__, "rule": proto.value,
+                      "raw": repr(report.raw_value)}
+            if whole:
+                record["messages"] = list(messages)
+                record["terms"] = {label: repr(term)
+                                   for label, term in report.term_breakdown.items()}
+            records[name, fn.__name__, proto.value] = record
+    return records
+
+
+def dumps(records: dict) -> str:
+    """The records as the file holds them, one JSON line each."""
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records.values())
+
+
+def read_pins() -> dict:
+    """The records of the committed file, keyed as pin_records keys them."""
+    records = {}
+    for line in PIN_FILE.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        records[record["point"], record["form"], record["rule"]] = record
+    return records
+
+
+def _entries(record: dict) -> dict:
+    """entry name -> pinned text of one record, in file order."""
+    out = {"raw": record["raw"]} if "raw" in record else {}
+    out.update((f"term {label}", term) for label, term in record.get("terms", {}).items())
+    out.update((f"message {i}", text)
+               for i, text in enumerate(record.get("messages", ()), start=1))
+    return out
+
+
+def _relative(old: str, new: str) -> str:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return ""
+    return f" (relative move {(b - a) / abs(a):+.1e})" if a else ""
+
+
+def moves(old: dict, new: dict) -> list:
+    """One line per entry that differs between two record mappings, with its
+    relative move where both sides are numbers, in file order."""
+    lines = []
+    for key in {**old, **new}:
+        was, now = _entries(old.get(key, {})), _entries(new.get(key, {}))
+        where = " ".join(key)
+        for entry in {**was, **now}:
+            a, b = was.get(entry), now.get(entry)
+            if a == b:
+                continue
+            if a is None or b is None:
+                lines.append(f"{where} {entry}: {'new' if a is None else 'gone'} "
+                             f"{b if a is None else a}")
+            else:
+                lines.append(f"{where} {entry}: {a} -> {b}{_relative(a, b)}")
+        if [e for e in was if e in now] != [e for e in now if e in was]:
+            lines.append(f"{where}: entries reordered")
+    if [k for k in old if k in new] != [k for k in new if k in old]:
+        lines.append("records reordered")
+    return lines
 
 
 def main() -> int:
@@ -189,6 +342,14 @@ def main() -> int:
               + "; ".join(f"{label}={count}" for label, count in labels))
         agree = agree and len(set(rows.values())) == 1
     print("ways agree" if agree else "WAYS DISAGREE")
+    records = pin_records(pinned_points())
+    moved = moves(read_pins(), records)
+    for line in moved:
+        print(f"moved: {line}", file=sys.stderr)
+    if agree:
+        PIN_FILE.write_text(dumps(records), encoding="utf-8")
+    print(f"{PIN_FILE.relative_to(ROOT)}: {len(moved)} entries moved, "
+          f"{'rewritten' if agree else 'left as it is'}", file=sys.stderr)
     return 0 if agree else 1
 
 
