@@ -1,4 +1,5 @@
-"""Flat key-value config documents, sweep specifications, and CSV emission.
+"""Flat key-value config documents and sweep specifications (the sweep CSV is
+written by `cli.run_sweep`).
 
 Config syntax: one `key = value` per line, `#` comments, blank lines ignored.
 Values may carry a unit suffix: dB (converted as 10^(x/10)), m, uW, W.  Bare

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from backsec.channel import NakagamiLink
+from backsec.config import apply_axis, loads_config, preset_text
 from backsec.ehmodel import EhParams
 from backsec.system import SystemParams
 
@@ -31,6 +34,41 @@ def make_params(gamma_t_db=30.0, n_tags=3, m=2, m_s=None, m_d=None, m_e=None,
         eh=eh,
     )
     return base.with_transmit_snr(DB(gamma_t_db))
+
+
+def mixed_m_params(rate):
+    """N = 4 with m = 1, 2, 3 on the s, d, e families and two odd tags."""
+    base = make_params(gamma_t_db=12.0, n_tags=4, m_s=1, m_d=2, m_e=3, rate=rate)
+    link_d = base.links_of("d")[0]
+    link_e = base.links_of("e")[0]
+    return replace(
+        base,
+        link_d=(link_d, replace(link_d, m=3), link_d, replace(link_d, distance=3.0)),
+        link_e=(link_e, replace(link_e, m=1), link_e, link_e))
+
+
+def per_tag_source_params():
+    """mixed_m_params with a different source distance on tag 1, so the
+    activation threshold differs across tags too."""
+    p = mixed_m_params(0.4)
+    link_s = p.links_of("s")[0]
+    return replace(p, link_s=(link_s, replace(link_s, distance=1.5), link_s, link_s))
+
+
+def split_lambda_params():
+    """N = 4 with m = 2 on every link and lambda~ differing across tags."""
+    base = make_params(gamma_t_db=12.0, n_tags=4, m=2, rate=0.4)
+    link_d = base.links_of("d")[0]
+    link_e = base.links_of("e")[0]
+    return replace(
+        base,
+        link_d=(link_d, replace(link_d, omega=0.5), replace(link_d, omega=0.5), link_d),
+        link_e=(replace(link_e, omega=2.0), link_e, link_e, link_e))
+
+
+def fig2_at(gamma_t_db):
+    """The fig2 preset's base scenario at gamma_t_db."""
+    return apply_axis(loads_config(preset_text("fig2")).base, "gamma_t_db", gamma_t_db)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ import pytest
 
 from backsec import analytic
 from backsec._kernels import _TILE_UNIFORMS, _workspace, mix64, resolve_backend
-from backsec.config import apply_axis, loads_config, preset_text
 from backsec.ehmodel import optimal_reflection
 from backsec.errors import ValidationError
 from backsec.montecarlo import (
@@ -31,7 +30,14 @@ from backsec.montecarlo import (
 )
 from backsec.system import ProtocolKind, SystemParams
 
-from conftest import make_params
+from conftest import (
+    fig2_at,
+    make_params,
+    mixed_m_params,
+    per_tag_source_params,
+    split_lambda_params,
+)
+
 
 def reference_counts(params, mc):
     """Slow per-trial replay of the kernel's draw stream and event logic."""
@@ -174,47 +180,13 @@ class TestStreamReference:
         assert np.abs(got - ref).max() <= 1
 
 
-def _mixed_m_params(rate):
-    """N = 4 with m = 1, 2, 3 on the s, d, e families and two odd tags."""
-    base = make_params(gamma_t_db=12.0, n_tags=4, m_s=1, m_d=2, m_e=3, rate=rate)
-    link_d = base.links_of("d")[0]
-    link_e = base.links_of("e")[0]
-    return replace(
-        base,
-        link_d=(link_d, replace(link_d, m=3), link_d, replace(link_d, distance=3.0)),
-        link_e=(link_e, replace(link_e, m=1), link_e, link_e))
-
-
-def _fig2_at(gamma_t_db):
-    return apply_axis(loads_config(preset_text("fig2")).base, "gamma_t_db", gamma_t_db)
-
-
-def _per_tag_source_params():
-    """_mixed_m_params with a different source distance on tag 1, so the
-    activation threshold differs across tags too."""
-    p = _mixed_m_params(0.4)
-    link_s = p.links_of("s")[0]
-    return replace(p, link_s=(link_s, replace(link_s, distance=1.5), link_s, link_s))
-
-
-def _split_lambda_params():
-    """N = 4 with m = 2 on every link and lambda~ differing across tags."""
-    base = make_params(gamma_t_db=12.0, n_tags=4, m=2, rate=0.4)
-    link_d = base.links_of("d")[0]
-    link_e = base.links_of("e")[0]
-    return replace(
-        base,
-        link_d=(link_d, replace(link_d, omega=0.5), replace(link_d, omega=0.5), link_d),
-        link_e=(replace(link_e, omega=2.0), link_e, link_e, link_e))
-
-
 class TestSnrModel:
     """The kernel's per-tag ratio is (1 + gamma_d) / (1 + gamma_e) with the
     SNRs of the paper's model, gamma_x = zeta beta* d_s^-u d_x^-u g_s g_x
     Gamma_t / Gamma_p and beta* the harvester's optimal reflection."""
 
     @pytest.mark.parametrize("params", [
-        _fig2_at(0.0), _fig2_at(30.0), _fig2_at(60.0), _per_tag_source_params(),
+        fig2_at(0.0), fig2_at(30.0), fig2_at(60.0), per_tag_source_params(),
     ], ids=["fig2-0dB", "fig2-30dB", "fig2-60dB", "heterogeneous"])
     def test_kernel_ratio_matches_paper_snr(self, params):
         _, (thr, e1g, e2g, *_) = _kernel_args(params)
@@ -237,12 +209,12 @@ class TestTiling:
     trials; counts must not depend on where the tile seams fall."""
 
     @pytest.mark.parametrize("p", [
-        pytest.param(_mixed_m_params(0.4), id="0.4"),
-        pytest.param(_mixed_m_params(0.0), id="0.0"),
+        pytest.param(mixed_m_params(0.4), id="0.4"),
+        pytest.param(mixed_m_params(0.0), id="0.0"),
         # one run of equal m over all 3N gain rows
         pytest.param(make_params(gamma_t_db=0.0, n_tags=8, m=3, d_e=2.0, rate=0.4), id="n8m3"),
         # equal m on every row, lambda~ split within the d and e families
-        pytest.param(_split_lambda_params(), id="split-lambda"),
+        pytest.param(split_lambda_params(), id="split-lambda"),
     ])
     @pytest.mark.parametrize("tiles, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
     def test_counts_match_python_replay_across_tile_seams(self, p, tiles, extra):
@@ -389,6 +361,16 @@ class TestRegressionFixtures:
         est = estimate_all(p, McConfig(trials=200_000, seed=20240601))[(ProtocolKind.OTS, "ip")]
         assert est.p_hat == pytest.approx(5e-06, abs=1e-12)
         assert (est.n_case1, est.n_case2) == (0, 1)
+
+    def test_mc_digest_tool_keeps_its_grid(self):
+        # the tool's docstring states these sizes; a builder change that drops
+        # a point fails here, not only in the digest
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+        import mc_digest
+
+        points = mc_digest.points()
+        assert len(points) == 65
+        assert sum(len(mc_digest.trial_counts(p)) for p in points) == 195
 
     def test_mc_digest_tool(self):
         # tools/mc_digest.py hashes the counts of 195 estimate_all calls; a

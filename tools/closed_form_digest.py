@@ -52,15 +52,17 @@ so the first way of each set pays for filling those caches.
 
 Pinned values.  ``tests/data/closed_forms.jsonl`` holds one JSON line per
 closed form at each pinned point (``pinned_points``), the 16 forms evaluated
-forward on one params object:
+forward on one params object.  Apart from the preset points, each pinned
+point is the reference scenario, ``make_params`` of ``tests/conftest.py``
+(the builder the tests use), called with the point's keyword arguments:
 
 - at 46 points, the whole report: ``raw`` (the ``repr`` of ``raw_value``),
   ``messages`` (every instability message, in order) and ``terms`` (every
   breakdown label with the ``repr`` of its term, in order).  The points are
-  ``METS_FLAGGED`` and the (8, 4) cell of the reference scenario, whose sums
-  cancel, and the 44 preset points;
+  ``make_params(**METS_FLAGGED)`` and ``make_params(n_tags=8, m=4)``, whose
+  sums cancel, and the 44 preset points;
 - at the other cells of ``RAW_CELLS`` (N, m) and ``MIXED_CELLS``
-  (N, m_s, m_d, m_e) of the reference scenario, ``raw`` alone.
+  (N, m_s, m_d, m_e), ``raw`` alone.
 
 The ``repr`` strings are those of x86-64 Linux with glibc's libm.
 
@@ -83,13 +85,16 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from backsec import EhParams, SystemParams, analytic
+from backsec import analytic
 from backsec.channel import NakagamiLink
 from backsec.config import apply_axis, loads_config, preset_names, preset_text
 from backsec.errors import NumericalInstabilityWarning
 from backsec.montecarlo import PROTOCOL_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from conftest import make_params  # noqa: E402
+
 PIN_FILE = ROOT / "tests" / "data" / "closed_forms.jsonl"
 
 FORMS = tuple((fn, proto) for fn in (analytic.sop_exact, analytic.sop_asymptotic,
@@ -101,36 +106,15 @@ CELL_GAMMA_T_DB = (0.0, 30.0, 60.0)
 MIXED_SHAPES = tuple(s for s in itertools.product((1, 3, 6), repeat=3)
                      if len(set(s)) > 1) + ((1, 6, 2), (6, 1, 3), (4, 4, 1))
 
-# Pinned points of the reference scenario, as its keyword arguments.  The
-# weakest-eavesdropper moment sums trip the instability flag in both METS SOP
-# forms at METS_FLAGGED.  RAW_CELLS are (N, m) and MIXED_CELLS (N, m_s, m_d,
-# m_e); a mixed cell separates m_s from (m_d - 1) theta1, which sizes the
-# exact SOP's Bessel tables.
+# Pinned points, as keyword arguments of make_params.  The weakest-eavesdropper
+# moment sums trip the instability flag in both METS SOP forms at METS_FLAGGED.
+# RAW_CELLS are (N, m) and MIXED_CELLS (N, m_s, m_d, m_e); a mixed cell
+# separates m_s from (m_d - 1) theta1, which sizes the exact SOP's Bessel
+# tables.
 METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
 RAW_CELLS = {(n, m): dict(n_tags=n, m=m) for n, m in ((3, 2), (8, 4), (16, 3), (12, 4))}
 MIXED_CELLS = {(n, s, d, e): dict(n_tags=n, m_s=s, m_d=d, m_e=e)
                for n in (3, 7) for s, d, e in ((1, 6, 2), (6, 1, 3), (4, 4, 1))}
-
-
-def _db(x: float) -> float:
-    return 10.0 ** (x / 10.0)
-
-
-def reference(n_tags=3, m=2, m_s=None, m_d=None, m_e=None, d_d=2.0, d_e=4.0,
-              rate=0.5) -> SystemParams:
-    """The reference scenario at gamma_t = 30 dB: noise power fixed by 1 W at
-    30 dB, d_s = 1 m, lambda_tilde 2/3/5 dB, path-loss exponent 2 and the stock
-    harvester with p_c = 100 uW (its constants as plain floats, unlike the
-    presets' uW figures).  Each link's shape is its own m_* or m."""
-    links = {f"link_{fam}": NakagamiLink.from_lambda_tilde(shape or m, _db(lam_db), dist, 2.0)
-             for fam, shape, lam_db, dist in (("s", m_s, 2.0, 1.0), ("d", m_d, 3.0, d_d),
-                                              ("e", m_e, 5.0, d_e))}
-    base = SystemParams(p_tx=1.0, gamma_t=_db(30.0), gamma_p=_db(5.0), zeta=2.2,
-                        n_tags=n_tags, rate_threshold=rate,
-                        eh=EhParams(p_max=200e-6, xi0=5e-6, xi1=5000.0, xi2=2e-4,
-                                    p_c=100e-6),
-                        **links)
-    return base.with_transmit_snr(_db(30.0))
 
 
 def reference_name(kwargs: dict) -> str:
@@ -152,11 +136,11 @@ def pinned_points() -> dict:
     True at the 46 points whose reports are pinned whole: METS_FLAGGED, the
     (8, 4) cell and the preset points.  At the other cells only raw values are
     pinned."""
-    points = {reference_name(kw): (reference(**kw), True)
+    points = {reference_name(kw): (make_params(**kw), True)
               for kw in (METS_FLAGGED, RAW_CELLS[8, 4])}
     points.update((name, (params, True)) for name, params in preset_points().items())
     for kw in (*RAW_CELLS.values(), *MIXED_CELLS.values()):
-        points.setdefault(reference_name(kw), (reference(**kw), False))
+        points.setdefault(reference_name(kw), (make_params(**kw), False))
     return points
 
 

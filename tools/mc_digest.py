@@ -5,14 +5,17 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/mc_digest.py
 
 Each case is one ``estimate_all`` call with ``batch_size = trials``, so the
-whole run is one batch walked in tiles of 2^16 // slots trials.  The cases:
+whole run is one batch walked in tiles of 2^16 // slots trials.  The tool
+builds every scenario with the ``tests/conftest.py`` builders that the tests
+use.  The cases:
 
-- the scenario of ``tests/conftest.py`` ``make_params`` at gamma_t 12 dB with
-  N 1/2/3/5/8, one shape m 1..4 on every link and d_e 1/3/6 m (60 points);
-- three per-tag scenarios: N = 4 with m 1/2/3 on the s/d/e families and two
-  odd tags; the same with a different source distance on tag 1; N = 4 at
+- ``make_params`` at gamma_t 12 dB with N 1/2/3/5/8, one shape m 1..4 on
+  every link and d_e 1/3/6 m (60 points);
+- three per-tag scenarios: ``mixed_m_params(0.4)``, N = 4 with m 1/2/3 on the
+  s/d/e families and two odd tags; ``per_tag_source_params()``, the same with
+  a different source distance on tag 1; ``split_lambda_params()``, N = 4 at
   m = 2 with lambda~ split within the d and e families;
-- the fig2 preset at gamma_t 0 and 30 dB;
+- ``fig2_at``, the fig2 preset at gamma_t 0 and 30 dB;
 
 each at 7 trials, at one tile less 5 trials and at two tiles plus 17 trials
 (195 calls).  The digest hashes ``n_case1`` and ``n_case2`` of every
@@ -26,44 +29,29 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from backsec.config import apply_axis, loads_config, preset_text
 from backsec.montecarlo import PROTOCOL_ORDER, McConfig, estimate_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import make_params  # noqa: E402
+from conftest import (  # noqa: E402
+    fig2_at,
+    make_params,
+    mixed_m_params,
+    per_tag_source_params,
+    split_lambda_params,
+)
 
 SEED = 2718
 TILE_UNIFORMS = 1 << 16
-
-
-def _per_tag_points() -> list:
-    base = make_params(gamma_t_db=12.0, n_tags=4, m_s=1, m_d=2, m_e=3, rate=0.4)
-    link_d, link_e = base.links_of("d")[0], base.links_of("e")[0]
-    mixed = replace(
-        base,
-        link_d=(link_d, replace(link_d, m=3), link_d, replace(link_d, distance=3.0)),
-        link_e=(link_e, replace(link_e, m=1), link_e, link_e))
-    link_s = mixed.links_of("s")[0]
-    source = replace(mixed, link_s=(link_s, replace(link_s, distance=1.5), link_s, link_s))
-    base = make_params(gamma_t_db=12.0, n_tags=4, m=2, rate=0.4)
-    link_d, link_e = base.links_of("d")[0], base.links_of("e")[0]
-    split = replace(
-        base,
-        link_d=(link_d, replace(link_d, omega=0.5), replace(link_d, omega=0.5), link_d),
-        link_e=(replace(link_e, omega=2.0), link_e, link_e, link_e))
-    return [mixed, source, split]
 
 
 def points() -> list:
     """The 65 parameter points, in digest order."""
     out = [make_params(gamma_t_db=12.0, n_tags=n, m=m, d_e=d_e)
            for n, m, d_e in itertools.product((1, 2, 3, 5, 8), (1, 2, 3, 4), (1.0, 3.0, 6.0))]
-    out += _per_tag_points()
-    fig2 = loads_config(preset_text("fig2")).base
-    out += [apply_axis(fig2, "gamma_t_db", db) for db in (0.0, 30.0)]
+    out += [mixed_m_params(0.4), per_tag_source_params(), split_lambda_params()]
+    out += [fig2_at(db) for db in (0.0, 30.0)]
     return out
 
 
