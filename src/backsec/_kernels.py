@@ -173,7 +173,10 @@ def mc_batch(bseed, n_trials, rows, point):
 
         # Gamma(m) gain = (log u_1 + ... + log u_m) / -lambda~, summed left to
         # right over each run of equal m, divided over each run of equal
-        # lambda~
+        # lambda~.  The sums stay one np.add per shape unit: np.add.reduce over
+        # the shape axis adds pairwise, which moved the last bit of the gain in
+        # 38 of 48 (m, rows) cases at m = 8..19 on a one-trial tile, a move the
+        # event counts need not show
         for rows, draws, m in sums:
             g, d = rows[:, :nt], draws[:, :, :nt]
             if m == 1:

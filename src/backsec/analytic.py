@@ -38,7 +38,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import NumericalInstabilityWarning, ValidationError
 from .specfun import (
@@ -94,11 +94,11 @@ class ClosedFormReport:
 class _Derived:
     """Scalars of one SystemParams object (see `_derived`) and one store,
     `memo`, of the pure values all its closed forms share: expansion tables,
-    destination rows, one Bessel order table per theta1, W1 tails, W3 moments,
-    the weakest-eavesdropper rows and the row terms with their sums, never a
-    verdict.  Keys start with the kind of value.  Each value is built
-    on first use, published complete with one setdefault and never changed
-    after, so threads racing on one object build and read equal values."""
+    destination rows, the W1 tail table per theta1, W3 moments, the
+    weakest-eavesdropper rows and the row terms with their sums, never a
+    verdict.  Keys start with the kind of value.  Each value is built on first
+    use, published complete with one setdefault and never changed after, so
+    threads racing on one object build and read equal values."""
 
     __slots__ = ("ms", "lam_s", "md", "lam_d", "me", "lam_e", "a", "eta1", "eta2",
                  "tau", "c", "n", "cap_a", "cap_b", "_memo")
@@ -174,17 +174,6 @@ def _checked(total: tuple, label: str) -> float:
     return value
 
 
-def _g_integral(alpha: int, p: float, q: float, k_orders: Optional[tuple]) -> float:
-    """int_0^inf v^(alpha-1) exp(-p v - q/v) dv for integer alpha; equals
-    2 (q/p)^(alpha/2) K_alpha(2 sqrt(pq)), with K_alpha = K_|alpha| taken from
-    k_orders, or Gamma(alpha)/p^alpha at q=0."""
-    if q == 0.0:
-        if alpha <= 0:  # only reached when q underflowed to 0
-            raise OverflowError(f"the integral of order {alpha} diverges at q = 0")
-        return math.exp(math.lgamma(alpha) - alpha * math.log(p))
-    return 2.0 * (q / p) ** (alpha / 2.0) * k_orders[abs(alpha)]
-
-
 def _bessel_table(d: _Derived, t1: int, x: float) -> tuple:
     """K_0(x), ..., K_n(x), bit for bit equal to `bessel_k(n, x)`: its K0/K1
     base and its own upward recurrence.  The W1 tails of theta1 = t1 have
@@ -198,33 +187,37 @@ def _bessel_table(d: _Derived, t1: int, x: float) -> tuple:
     return tuple(ks)
 
 
-def _w1_tail_integral(d: _Derived, t1: int, k: int) -> float:
-    """int_a^inf (w - a)^k exp(-q_coef / (w - a)) f_{g_s^2}(w) dw with
+def _w1_tails(d: _Derived, t1: int) -> tuple:
+    """The W1 tail integrals I(t1, k) for k = 0, -1, ..., -(md-1) t1, entry -k:
+    int_a^inf (w - a)^k exp(-q_coef / (w - a)) f_{g_s^2}(w) dw with
     q_coef = lam_d t1 A.
 
     Binomial-expands (v + a)^(ms-1) around the shifted variable v = w - a,
-    leaving one Bessel-type integral per power of v, of orders k+1 .. k+ms."""
+    leaving one integral per power of v, of orders alpha = k+1 .. k+ms:
+    int_0^inf v^(alpha-1) exp(-lam_s v - q_coef/v) dv, which equals
+    2 (q_coef/lam_s)^(alpha/2) K_|alpha|(2 sqrt(lam_s q_coef)), or
+    Gamma(alpha)/lam_s^alpha at q_coef = 0."""
     def build():
         q_coef = d.lam_d * t1 * d.cap_a
-        k_orders = None
         if q_coef != 0.0:
-            k_orders = d.memo(("bessel", t1), lambda: _bessel_table(
-                d, t1, 2.0 * math.sqrt(d.lam_s * q_coef)))
+            k_orders = _bessel_table(d, t1, 2.0 * math.sqrt(d.lam_s * q_coef))
         pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
-        total = 0.0
-        for p in range(d.ms):
-            total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
-                      * _g_integral(p + k + 1, d.lam_s, q_coef, k_orders))
-        return pref * total
+        tails = []
+        for k in range(0, -(d.md - 1) * t1 - 1, -1):
+            total = 0.0
+            for p in range(d.ms):
+                alpha = p + k + 1
+                if q_coef != 0.0:
+                    g = 2.0 * (q_coef / d.lam_s) ** (alpha / 2.0) * k_orders[abs(alpha)]
+                elif alpha <= 0:  # only reached when q_coef underflowed to 0
+                    raise OverflowError(f"the integral of order {alpha} diverges at q = 0")
+                else:
+                    g = math.exp(math.lgamma(alpha) - alpha * math.log(d.lam_s))
+                total += math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p) * g
+            tails.append(pref * total)
+        return tuple(tails)
 
-    return d.memo(("w1_tail", t1, k), build)
-
-
-def _w3_moment(d: _Derived, q: int, rate_shift: float) -> float:
-    """int_0^inf w^q exp(-rate_shift w) f_{g_e^2}(w) dw."""
-    return math.exp(d.me * math.log(d.lam_e) - math.lgamma(d.me)
-                    + math.lgamma(d.me + q)
-                    - (d.me + q) * math.log(d.lam_e + rate_shift))
+    return d.memo(("w1_tails", t1), build)
 
 
 def _w3_min_moments(d: _Derived, rate_shift: float) -> tuple:
@@ -295,24 +288,27 @@ def _rows(d: _Derived, protocol: ProtocolKind) -> tuple:
 
 
 def _w3(d: _Derived, protocol: ProtocolKind, t1: int, x: float) -> Sequence[float]:
-    """The rule's eavesdropper law: W3 moments q = 0, 1, ... at rate shift
-    lam_d t1 x, against the weakest of n eavesdropper gains for METS (whose
-    rows have t1 = 1), else against one gain, up to q = (md - 1) t1, the
-    largest theta2 of that theta1."""
+    """The rule's eavesdropper law: W3 moments int w^q exp(-s w) f(w) dw,
+    q = 0, 1, ..., at rate shift s = lam_d t1 x, with f the density of the
+    weakest of n eavesdropper gains for METS (whose rows have t1 = 1), else of
+    one gain, up to q = (md - 1) t1, the largest theta2 of that theta1."""
     rate_shift = d.lam_d * t1 * x
     if protocol is ProtocolKind.METS:
         return [value for value, _ in _w3_min_moments(d, rate_shift)]
     return d.memo(("moments", t1, x), lambda: tuple(
-        _w3_moment(d, q, rate_shift) for q in range((d.md - 1) * t1 + 1)))
+        math.exp(d.me * math.log(d.lam_e) - math.lgamma(d.me) + math.lgamma(d.me + q)
+                 - (d.me + q) * math.log(d.lam_e + rate_shift))
+        for q in range((d.md - 1) * t1 + 1)))
 
 
 def _tail_inner(d: _Derived, t1: int, power: int, moments: Sequence[float]) -> float:
     """sum_q C(power, q) B^q A^(power-q) I(t1, q - power) moments[q], with I the
-    W1 tail integral: the binomial q-sum of every outage-tail term."""
+    W1 tail table: the binomial q-sum of every outage-tail term."""
+    tails = _w1_tails(d, t1)
     inner = 0.0
     for q in range(power + 1):
         inner += (math.comb(power, q) * d.cap_b ** q * d.cap_a ** (power - q)
-                  * _w1_tail_integral(d, t1, q - power) * moments[q])
+                  * tails[power - q] * moments[q])
     return inner
 
 

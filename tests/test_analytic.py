@@ -711,17 +711,21 @@ class TestBitIdentity:
         assert len(pins.mixed_points()) == 486
 
     def test_importing_the_digest_tool_reads_no_benchmark_module(self):
-        # points() imports perfbench/workloads.py when it runs, so importing
-        # the tool, as this module does, reads no benchmark code
+        # points() loads perfbench/workloads.py by file path when it runs, so
+        # importing the tool, as this module does, reads no benchmark code, and
+        # calling points() leaves sys.path and the top-level names as they were
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
         code = ("import sys; sys.path.insert(0, 'tools'); import closed_form_digest; "
-                "print('workloads' in sys.modules)")
+                "print('workloads' in sys.modules); path = list(sys.path); "
+                "closed_form_digest.points(); closed_form_digest.points(); "
+                "assert sys.path == path, sys.path; "
+                "assert 'workloads' not in sys.modules; print('ok')")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               cwd=str(root), env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False\nok\n"
 
     @pytest.mark.parametrize("n, m, lam", [(0, 1, 1.3), (0, 3, 2.0), (1, 1, 0.7),
                                            (5, 1, 2.7), (3, 2, 1.5), (8, 4, 1.995),
@@ -740,6 +744,33 @@ class TestBitIdentity:
         assert len(table) == 41
         for n in range(-40, 41):
             assert table[abs(n)] == bessel_k(n, x), n
+
+    @pytest.mark.parametrize("n, m_s, m_d", [(3, 2, 2), (8, 4, 4), (7, 6, 1), (7, 1, 6)])
+    @pytest.mark.parametrize("rate", [0.5, 3.0])
+    def test_w1_tail_table_equals_reference_loop(self, n, m_s, m_d, rate):
+        # entry -k of the table of theta1 is I(theta1, k), the binomial sum
+        # pref * sum_p C(m_s-1, p) a^(m_s-1-p) G(p+k+1), added left to right,
+        # with G(alpha) = int_0^inf v^(alpha-1) exp(-lam_s v - q/v) dv; the
+        # cells put m_s above and below (m_d - 1) theta1
+        d = analytic._Derived(make_params(n_tags=n, m_s=m_s, m_d=m_d, rate=rate))
+        pref = math.exp(d.ms * math.log(d.lam_s) - math.lgamma(d.ms) - d.lam_s * d.a)
+
+        def g(alpha, q):
+            if q == 0.0:
+                return math.exp(math.lgamma(alpha) - alpha * math.log(d.lam_s))
+            return (2.0 * (q / d.lam_s) ** (alpha / 2.0)
+                    * bessel_k(abs(alpha), 2.0 * math.sqrt(d.lam_s * q)))
+
+        for t1 in range(n + 1):
+            q = d.lam_d * t1 * d.cap_a
+            table = analytic._w1_tails(d, t1)
+            assert len(table) == (m_d - 1) * t1 + 1
+            for k in range(0, -len(table), -1):
+                total = 0.0
+                for p in range(d.ms):
+                    total += (math.comb(d.ms - 1, p) * d.a ** (d.ms - 1 - p)
+                              * g(p + k + 1, q))
+                assert table[-k] == pref * total, (t1, k)
 
     def test_expansion_table_built_once_per_evaluation(self):
         params = make_params(n_tags=8, m=4)
@@ -895,7 +926,7 @@ class TestSharedDerivedTerms:
         assert "_derived" not in repr(params) and "_derived" not in field_names
 
     def test_threads_racing_on_one_object_get_the_cold_values(self):
-        # at (8, 4) the threads race on Bessel order tables past order 2
+        # at (8, 4) the threads race on W1 tail tables past order 2
         for n, m in ((4, 3), (8, 4)):
             params = make_params(n_tags=n, m=m)
             cold = {key: repr(getattr(analytic, key[0])(key[1], replace(params)).raw_value)
@@ -920,4 +951,4 @@ class TestSharedDerivedTerms:
             assert not any(t.is_alive() for t in threads)
             assert results == [cold] * len(threads)
         store = analytic._derived(params)._memo
-        assert max(len(v) for k, v in store.items() if k[0] == "bessel") > 3
+        assert max(len(v) for k, v in store.items() if k[0] == "w1_tails") > 3
