@@ -104,10 +104,7 @@ class _Derived:
                  "tau", "c", "n", "cap_a", "cap_b", "_memo")
 
     def __init__(self, params: SystemParams):
-        params.require_homogeneous()
-        ls = params.links_of("s")[0]
-        ld = params.links_of("d")[0]
-        le = params.links_of("e")[0]
+        ls, ld, le = params.require_homogeneous()
         self.ms, self.lam_s = ls.m, ls.lambda_tilde
         self.md, self.lam_d = ld.m, ld.lambda_tilde
         self.me, self.lam_e = le.m, le.lambda_tilde

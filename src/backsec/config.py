@@ -142,11 +142,8 @@ class SweepSpec:
     def to_text(self) -> str:
         """Emit the resolved configuration (all linear units); reloading the
         result reproduces this spec exactly."""
-        self.base.require_homogeneous()
-        links = {fam: getattr(self.base, "link_" + fam) for fam in "sde"}
         owners = {"spec": self, "base": self.base, "eh": self.base.eh, "mc": self.mc,
-                  **{fam: link if isinstance(link, NakagamiLink) else link[0]
-                     for fam, link in links.items()}}
+                  **dict(zip("sde", self.base.require_homogeneous()))}
         lines = ["# resolved configuration (linear units)"]
         lines += [f"{key} = {_show(getattr(owners[owner], field))}"
                   for key, (_, _, owner, field) in _KEYS.items()]

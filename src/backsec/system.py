@@ -106,11 +106,16 @@ class SystemParams:
             return (value,) * self.n_tags
         return value
 
-    def require_homogeneous(self) -> None:
+    def require_homogeneous(self) -> tuple:
+        """The shared (s, d, e) links, without building a per-tag tuple;
+        ValidationError if a family differs across tags."""
+        shared = []
         for name in ("link_s", "link_d", "link_e"):
             value = getattr(self, name)
-            if not isinstance(value, NakagamiLink) and len(set(value)) != 1:
+            if isinstance(value, tuple) and len(set(value)) != 1:
                 raise ValidationError(
                     f"{name} differs across tags; the closed forms require "
                     "identically distributed tags"
                 )
+            shared.append(value[0] if isinstance(value, tuple) else value)
+        return tuple(shared)

@@ -534,6 +534,11 @@ class TestReportMechanics:
                 analytic.p1(het)
         assert vars(het) == before
 
+    def test_shared_links_build_no_per_tag_tuple(self):
+        # 8e18 bytes of tuple would not fit in any address space; p1 does not
+        # depend on N
+        assert analytic.p1(make_params(n_tags=10**18)) == analytic.p1(make_params())
+
     @pytest.mark.parametrize("form", ["sop_exact", "sop_asymptotic", "ip_exact",
                                       "ip_asymptotic"])
     def test_overflow_is_a_validation_error(self, form):
@@ -625,35 +630,61 @@ def _evaluate_all(params):
                 for form in FORMS for proto in ProtocolKind}
 
 
-def _assert_pinned(points, parts):
-    """The given parts of every record at points, a pins.pinned_points()
-    slice, equal the committed file's exactly; a failure names each moved
-    entry with its relative move."""
-    def cut(records):
-        return {key: {part: value for part, value in record.items()
-                      if part in ("point", "form", "rule", *parts)}
-                for key, record in records.items() if key[0] in points}
-
-    pinned, fresh = cut(pins.read_pins()), cut(pins.pin_records(points))
-    assert pins.dumps(fresh) == pins.dumps(pinned), "\n".join(pins.moves(pinned, fresh))
+@pytest.fixture(scope="session")
+def forward():
+    """The digest tool's forward pass over both point sets, the values the pin
+    file holds: {"main" | "mixed": (records, summary)}."""
+    return {"main": pins.evaluate(pins.points()), "mixed": pins.evaluate(pins.mixed_points())}
 
 
 class TestBitIdentity:
-    """tests/data/closed_forms.jsonl pins the raw value of every closed form
-    at each point of tools/closed_form_digest.py's pinned_points, and the
-    instability messages and breakdown terms at 46 of them.  The tool writes
-    that file; each test here compares its slice of it."""
+    """tests/data/closed_forms.jsonl pins the raw value and instability
+    messages of every closed form at each point of tools/closed_form_digest.py's
+    two sets, and the breakdown terms at 46 of them.  The tool writes that
+    file; one forward pass of it is compared here."""
 
-    # The sums must keep every term's arithmetic exactly: grouping
-    # compositions by (theta1, theta2), say, moves the raw values by about
-    # condition x eps.
-    @pytest.mark.parametrize("n, m", sorted(pins.RAW_CELLS))
-    def test_raw_values_frozen(self, n, m):
-        kwargs = pins.RAW_CELLS[n, m]
-        params = make_params(**kwargs)
-        _assert_pinned({pins.reference_name(kwargs): (params, False)}, ("raw",))
+    def test_value_file_covers_every_pin(self, forward):
+        # the sums must keep every term's arithmetic exactly: grouping
+        # compositions by (theta1, theta2), say, moves the raw values by about
+        # condition x eps; a failure names each moved entry
+        fresh = {**forward["main"][0], **forward["mixed"][0]}
+        same = pins.dumps(fresh) == pins.PIN_FILE.read_text(encoding="utf-8")
+        assert same, "\n".join(pins.moves(pins.read_pins(), fresh)) or "formatting differs"
+
+    def test_digest_sets_keep_their_sizes(self, forward):
+        # points, evaluations, warnings and flagged evaluations per set, as the
+        # tool's docstring states them; 46 points pin their whole reports
+        sizes = {name: (len(records), summary["evaluations"], summary["warnings"],
+                        summary["flagged"]) for name, (records, summary) in forward.items()}
+        assert sizes == {"main": (1172, 18752, 318, 306), "mixed": (486, 7776, 111, 111)}
+        whole = [r for records, _ in forward.values() for r in records.values() if "terms" in r]
+        assert len(whole) == 46
+        assert sum(len(terms) for r in whole for terms in r["terms"]) == 7520
+
+    def test_breakdowns_and_warnings_frozen(self, forward):
+        # every breakdown term and instability message at every point, of
+        # which the file holds the terms at 46
+        assert {name: summary["sha256"] for name, (_, summary) in forward.items()} == {
+            "main": "7ea22622f38f794f51690c68c7268470523796c319c80291eda0bc10b1669f46",
+            "mixed": "1b41963d5f8791918175747caf83fff7d3a6b0b977ca3838396e182b12f11298"}
+
+    def test_preset_points_frozen(self):
+        # at the reference seed the benchmark's presets_mc workload pins each
+        # preset's whole sweep CSV, so a last-bit move at any of the 44 preset
+        # points fails it: the file pins their whole reports
+        points = pins.preset_points()
+        built = [apply_axis(spec.base, spec.axis, v)
+                 for spec in map(loads_config, map(preset_text, preset_names()))
+                 for v in spec.axis_values]
+        assert list(points.values()) == built
+        pinned = pins.read_pins()
+        assert all("terms" in pinned[name] for name in points)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (8, 4), (12, 4), (16, 3)])
+    def test_sots_term_order_follows_compositions(self, n, m):
         # fsum gives the same value in any term order, so pin the term order
         # too: one term per composition, in compositions order
+        params = make_params(n_tags=n, m=m)
         order = [f"comp{c}" for c in compositions(n, m + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericalInstabilityWarning)
@@ -662,63 +693,17 @@ class TestBitIdentity:
         assert [k for k in sop_terms if k.startswith("p2.comp")] == ["p2." + k for k in order]
         assert [k for k in ip_terms if k.startswith("comp")] == order
 
-    def test_preset_points_frozen(self):
-        # at the reference seed the benchmark's presets_mc workload pins each
-        # preset's whole sweep CSV, so a last-bit move at any of the 44 preset
-        # points fails it: pin every raw value and instability message there
-        points = pins.preset_points()
-        built = [apply_axis(spec.base, spec.axis, v)
-                 for spec in map(loads_config, map(preset_text, preset_names()))
-                 for v in spec.axis_values]
-        assert list(points.values()) == built
-        _assert_pinned({name: (params, True) for name, params in points.items()},
-                       ("raw", "messages"))
-
-    def test_breakdowns_and_warnings_frozen(self):
-        # the whole report, breakdown terms and instability messages in
-        # order, at the preset points and at two cells whose sums cancel
-        points = {name: point for name, point in pins.pinned_points().items() if point[1]}
-        _assert_pinned(points, ("raw", "messages", "terms"))
-
-    @pytest.mark.parametrize("n, m_s, m_d, m_e", sorted(pins.MIXED_CELLS))
-    def test_mixed_shape_raw_values_frozen(self, n, m_s, m_d, m_e):
-        # each link has its own fading shape: the exact SOP's Bessel tables
-        # are sized by m_s against (m_d - 1) theta1, which one m on all links
-        # never separates
-        kwargs = pins.MIXED_CELLS[n, m_s, m_d, m_e]
-        _assert_pinned({pins.reference_name(kwargs): (make_params(**kwargs), False)}, ("raw",))
-
-    def test_value_file_covers_every_pin(self):
-        records = pins.read_pins()
-        points = pins.pinned_points()
-        assert list(records) == [(name, form, proto.value) for name in points
-                                 for form in FORMS for proto in ProtocolKind]
-        whole = [r for r in records.values() if points[r["point"]][1]]
-        assert len({r["point"] for r in whole}) == 46
-        assert len(whole) == 736
-        assert sum(len(r["terms"]) for r in whole) == 7520
-        assert sum(len(r["messages"]) for r in whole) == 6
-        cells = [pins.reference_name(kw)
-                 for kw in (*pins.RAW_CELLS.values(), *pins.MIXED_CELLS.values())]
-        assert len(set(cells)) == 10
-        for name in cells:
-            assert sum(r["point"] == name and "raw" in r for r in records.values()) == 16
-
-    def test_digest_sets_keep_their_sizes(self):
-        # the tool's docstring states these sizes; a builder change that drops
-        # a point fails here, not only in a run of the tool by hand
-        assert len(pins.points()) == 1172
-        assert len(pins.mixed_points()) == 486
-
     def test_importing_the_digest_tool_reads_no_benchmark_module(self):
         # points() loads perfbench/workloads.py by file path when it runs, so
         # importing the tool, as this module does, reads no benchmark code, and
-        # calling points() leaves sys.path and the top-level names as they were
+        # neither the import nor calling points() changes sys.path or the
+        # top-level names
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        code = ("import sys; sys.path.insert(0, 'tools'); import closed_form_digest; "
-                "print('workloads' in sys.modules); path = list(sys.path); "
+        code = ("import sys; sys.path.insert(0, 'tools'); path = list(sys.path); "
+                "import closed_form_digest; assert sys.path == path, sys.path; "
+                "print('workloads' in sys.modules); "
                 "closed_form_digest.points(); closed_form_digest.points(); "
                 "assert sys.path == path, sys.path; "
                 "assert 'workloads' not in sys.modules; print('ok')")
@@ -781,9 +766,75 @@ class TestBitIdentity:
         assert analytic._Derived(params).expansion(8, 4, 1.995) is not first
 
 
+# Unflagged values break the invariants by rounding, up to 2.5 eps relative
+# over both digest sets: 62 OTS values near 1 above another rule's, and two
+# SOTS exact SOPs of 1 + eps.  Real breaks start at 3.0e-7 relative.
+SLACK = 4 * sys.float_info.epsilon
+_SOTS = "unflagged SOTS exact SOP below its asymptote (ROADMAP item 3)"
+_ONE_TAG = "unflagged one-tag exact SOP below its asymptote (ROADMAP items 3 and 5)"
+_TAIL = "grid N={} m=3 gamma_t_db=100.0 d_d=0.5 d_e=50.0 rate={}"
+# Unflagged exact SOPs below their unflagged asymptotes, by 3.0e-7 to 5.7e-4
+# relative: (point, rule) -> the item that fixes them.
+BELOW_ASYMPTOTE = {
+    ("cell N=16 m=3 gamma_t_db=60.0", "sots"): _SOTS,
+    ("mixed m_s=3 m_d=6 m_e=3 N=7 gamma_t_db=60.0 rate=0.5", "sots"): _SOTS,
+    ("mixed m_s=6 m_d=6 m_e=3 N=7 gamma_t_db=60.0 rate=0.5", "sots"): _SOTS,
+    **{(_TAIL.format(n, 0.1), rule): _ONE_TAG for n in (2, 4, 8) for rule in ("ots", "rts")},
+    **{(_TAIL.format(n, 3.0), "mets"): _ONE_TAG for n in (2, 4, 8)},
+}
+
+
+def _above(x, y):
+    """x exceeds y by more than rounding."""
+    return x - y > SLACK * max(abs(x), abs(y))
+
+
+@pytest.fixture(scope="session")
+def unflagged(forward):
+    """{(point, form, rule): raw value} of every evaluation of the forward pass
+    that raised no instability warning."""
+    return {(name, *form.split()): float(raw)
+            for records, _ in forward.values() for name, record in records.items()
+            for form, raw, messages in zip(pins.FORM_NAMES, record["raw"], record["messages"])
+            if not messages}
+
+
+class TestDigestInvariants:
+    """Facts that follow from the model, checked at every point of both digest
+    sets.  Exact minus asymptote is at least p1 (1 - asymptote) for SOP and IP
+    of every rule; OTS picks the largest secrecy ratio, so no rule does better;
+    and every value is a probability.  A flagged value is not vouched for, so
+    it is exempt."""
+
+    def test_exact_at_least_asymptote(self, unflagged):
+        breaks = [(point, form, rule) for (point, form, rule), exact in unflagged.items()
+                  if form.endswith("_exact")
+                  and _above(unflagged.get((point, form.replace("exact", "asymptotic"), rule),
+                                           -math.inf), exact)
+                  and not (form == "sop_exact" and (point, rule) in BELOW_ASYMPTOTE)]
+        assert not breaks
+
+    @pytest.mark.parametrize("point, rule", [
+        pytest.param(point, rule, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                          reason=reason))
+        for (point, rule), reason in BELOW_ASYMPTOTE.items()])
+    def test_known_exact_sop_at_least_asymptote(self, unflagged, point, rule):
+        assert not _above(unflagged[point, "sop_asymptotic", rule],
+                          unflagged[point, "sop_exact", rule])
+
+    def test_ots_at_most_every_rule(self, unflagged):
+        breaks = [(point, form, rule) for (point, form, rule), value in unflagged.items()
+                  if _above(unflagged.get((point, form, "ots"), -math.inf), value)]
+        assert not breaks
+
+    def test_raw_values_in_unit_interval(self, unflagged):
+        assert not [key for key, value in unflagged.items()
+                    if _above(0.0, value) or _above(value, 1.0)]
+
+
 # The weakest-eavesdropper moment sums trip the instability flag in both METS
 # SOP forms here, which share one set of those sums on one params object.
-METS_FLAGGED = pins.METS_FLAGGED
+METS_FLAGGED = dict(n_tags=8, m=3, d_d=50.0, d_e=0.5, rate=3.0)
 ORDER = [(form, proto) for form in FORMS for proto in ProtocolKind]
 
 
